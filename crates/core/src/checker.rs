@@ -235,9 +235,14 @@ fn abort_reason(b: &BddError) -> FallbackReason {
     }
 }
 
-/// Named output columns plus rows of dictionary codes — what
-/// [`Checker::find_violations_bdd`] produces.
-pub type CodedViolations = (Vec<String>, Vec<Vec<u32>>);
+/// One referenced relation after [`Checker::ensure_sentence_indices`].
+struct EnsuredIndex {
+    relation: String,
+    /// Indexed before the call (reused rather than built).
+    had: bool,
+    /// Indexed now; `false` means SQL-only.
+    indexed: bool,
+}
 
 /// A bounded violation sample with an exact total, produced by
 /// [`Checker::find_violations_counted`] for certificate emission: the
@@ -525,21 +530,36 @@ impl Checker {
         fnv1a(&bytes)
     }
 
-    /// Build (without executing) the [`CheckPlan`] for a constraint under
-    /// the current options — what `relcheck plan` prints. Ensures the
-    /// referenced indices exist first, exactly as a check would, so the
-    /// plan's BDD/SQL routing and fingerprints match what
-    /// [`Checker::check`] will do next.
-    pub fn plan(&mut self, f: &Formula) -> Result<CheckPlan> {
+    /// Reject a formula with free variables, then ensure every relation it
+    /// references is indexed (or marked SQL-only), in reference order —
+    /// the preamble shared by every entry point that plans or checks.
+    fn ensure_sentence_indices(&mut self, f: &Formula) -> Result<Vec<EnsuredIndex>> {
         let free = f.free_vars();
         if !free.is_empty() {
             return Err(CoreError::Logic(relcheck_logic::LogicError::FreeVariables(
                 free,
             )));
         }
-        for rel in Self::referenced_relations(f) {
-            self.ensure_index(&rel)?;
+        let mut out = Vec::new();
+        for relation in Self::referenced_relations(f) {
+            let had = self.ldb.has_index(&relation);
+            let indexed = self.ensure_index(&relation)?;
+            out.push(EnsuredIndex {
+                relation,
+                had,
+                indexed,
+            });
         }
+        Ok(out)
+    }
+
+    /// Build (without executing) the [`CheckPlan`] for a constraint under
+    /// the current options — what `relcheck plan` prints. Ensures the
+    /// referenced indices exist first, exactly as a check would, so the
+    /// plan's BDD/SQL routing and fingerprints match what
+    /// [`Checker::check`] will do next.
+    pub fn plan(&mut self, f: &Formula) -> Result<CheckPlan> {
+        self.ensure_sentence_indices(f)?;
         let fp = self.schema_fingerprint();
         Ok(crate::planner::plan_check(
             self.ldb.db(),
@@ -555,15 +575,7 @@ impl Checker {
     /// construction bumps the data version, so computing the key before
     /// ensuring would poison it and repeated checks would never hit.
     pub fn plan_key(&mut self, f: &Formula) -> Result<(u64, u64)> {
-        let free = f.free_vars();
-        if !free.is_empty() {
-            return Err(CoreError::Logic(relcheck_logic::LogicError::FreeVariables(
-                free,
-            )));
-        }
-        for rel in Self::referenced_relations(f) {
-            self.ensure_index(&rel)?;
-        }
+        self.ensure_sentence_indices(f)?;
         Ok((formula_fingerprint(f), self.schema_fingerprint()))
     }
 
@@ -574,18 +586,12 @@ impl Checker {
         Ok(self.check_planned(f, None)?.0)
     }
 
-    /// [`Checker::check`] seeded with a previously-built plan (e.g. from
-    /// the registry's plan cache). The plan is used only if its
-    /// fingerprints still match the current constraint and environment;
-    /// otherwise the checker silently replans — a stale plan can never
-    /// execute.
-    pub fn check_with_plan(&mut self, f: &Formula, plan: &CheckPlan) -> Result<CheckReport> {
-        Ok(self.check_planned(f, Some(plan))?.0)
-    }
-
     /// The full planned-check entry point: decide the constraint and
     /// return the plan that was executed (fresh or the validated `cached`
-    /// one), ready to insert into a plan cache.
+    /// one, e.g. from the registry's plan cache), ready to insert into a
+    /// plan cache. `cached` is used only if its fingerprints still match
+    /// the current constraint and environment; otherwise the checker
+    /// silently replans — a stale plan can never execute.
     pub fn check_planned(
         &mut self,
         f: &Formula,
@@ -607,33 +613,25 @@ impl Checker {
         cached: Option<&CheckPlan>,
     ) -> Result<(CheckReport, CheckPlan)> {
         let start = Instant::now();
-        let free = f.free_vars();
-        if !free.is_empty() {
-            return Err(CoreError::Logic(relcheck_logic::LogicError::FreeVariables(
-                free,
-            )));
-        }
         let tel = self.opts.telemetry;
         let stats_before = tel.then(|| self.ldb.manager().stats());
         // Make sure every referenced relation is indexed (or marked
         // SQL-only).
         let index_start = tel.then(Instant::now);
+        let ensured = self.ensure_sentence_indices(f)?;
+        let all_indexed = ensured.iter().all(|e| e.indexed);
         let mut index_events: Vec<IndexEvent> = Vec::new();
-        let mut all_indexed = true;
-        for rel in Self::referenced_relations(f) {
-            let had = self.ldb.has_index(&rel);
-            let ok = self.ensure_index(&rel)?;
-            all_indexed &= ok;
-            if tel {
-                let provenance = if !ok {
+        if tel {
+            for e in ensured {
+                let provenance = if !e.indexed {
                     IndexProvenance::SqlOnly
-                } else if had {
+                } else if e.had {
                     IndexProvenance::Reused
                 } else {
                     IndexProvenance::Built
                 };
                 index_events.push(IndexEvent {
-                    relation: rel,
+                    relation: e.relation,
                     provenance,
                 });
             }
@@ -967,81 +965,22 @@ impl Checker {
 
     /// Materialize up to `limit` violating assignments **on the BDD path**:
     /// build the violation-set BDD (premise ∧ ¬conclusion over the outer ∀
-    /// variables) and enumerate its tuples, without touching SQL. Returns
-    /// `None` when the constraint is not ∀-prefixed, a referenced relation
-    /// is SQL-only, or the node budget aborts (callers then use
-    /// [`Checker::find_violations`]).
+    /// variables) and enumerate its tuples, without touching SQL. Carries
+    /// the provenance certificates need: attribute classes per variable and
+    /// the **exact** violation count from [`sat_count`] over the violation
+    /// BDD (domain ranges are conjoined into it, so the count never
+    /// includes out-of-range encodings). Returns `None` when the constraint
+    /// is not ∀-prefixed, a referenced relation is SQL-only, or the node
+    /// budget aborts (callers then use [`Checker::find_violations`]).
     ///
-    /// Output: `(variable names, rows of dictionary codes)` — decode codes
-    /// through the database's class dictionaries.
-    pub fn find_violations_bdd(
-        &mut self,
-        f: &Formula,
-        limit: usize,
-    ) -> Result<Option<CodedViolations>> {
-        let free = f.free_vars();
-        if !free.is_empty() {
-            return Err(CoreError::Logic(relcheck_logic::LogicError::FreeVariables(
-                free,
-            )));
-        }
-        for rel in Self::referenced_relations(f) {
-            if !self.ensure_index(&rel)? {
-                return Ok(None);
-            }
-        }
-        let result = match crate::exec::violations_bdd(&mut self.ldb, f, self.opts.plan) {
-            Ok(Some(vs)) => {
-                let doms: Vec<_> = vs.vars.iter().map(|(_, d, _)| *d).collect();
-                let names: Vec<String> = vs.vars.iter().map(|(v, _, _)| v.clone()).collect();
-                let rows = self
-                    .ldb
-                    .manager_mut()
-                    .rows_limited(vs.bdd, &doms, limit)
-                    .map_err(CoreError::Bdd)?;
-                let rows: Vec<Vec<u32>> = rows
-                    .into_iter()
-                    .map(|r| r.into_iter().map(|v| v as u32).collect())
-                    .collect();
-                Ok(Some((names, rows)))
-            }
-            Ok(None) => Ok(None),
-            Err(e) if budget_abort(&e).is_some() => {
-                self.ldb.shed_atom_cache();
-                self.ldb.gc();
-                Ok(None)
-            }
-            Err(e) => Err(e),
-        };
-        if self.opts.gc_between_checks {
-            self.ldb.gc();
-        }
-        result
-    }
-
-    /// [`find_violations_bdd`] plus provenance for certificates: attribute
-    /// classes per variable and the **exact** violation count from
-    /// [`sat_count`] over the violation BDD (domain ranges are conjoined
-    /// into it, so the count never includes out-of-range encodings). Same
-    /// `None` conditions as [`find_violations_bdd`].
-    ///
-    /// [`find_violations_bdd`]: Checker::find_violations_bdd
     /// [`sat_count`]: relcheck_bdd::BddManager::sat_count
     pub fn find_violations_counted(
         &mut self,
         f: &Formula,
         limit: usize,
     ) -> Result<Option<CountedViolations>> {
-        let free = f.free_vars();
-        if !free.is_empty() {
-            return Err(CoreError::Logic(relcheck_logic::LogicError::FreeVariables(
-                free,
-            )));
-        }
-        for rel in Self::referenced_relations(f) {
-            if !self.ensure_index(&rel)? {
-                return Ok(None);
-            }
+        if !self.ensure_sentence_indices(f)?.iter().all(|e| e.indexed) {
+            return Ok(None);
         }
         let result = match crate::exec::violations_bdd(&mut self.ldb, f, self.opts.plan) {
             Ok(Some(vs)) => {
@@ -1142,26 +1081,22 @@ impl Checker {
         use relcheck_logic::transform::{
             push_forall_down, simplify, strip_leading_block, to_nnf, to_prenex, CheckMode,
         };
-        let free = f.free_vars();
-        if !free.is_empty() {
-            return Err(CoreError::Logic(relcheck_logic::LogicError::FreeVariables(
-                free,
-            )));
-        }
         let mut indices = Vec::new();
-        for rel in Self::referenced_relations(f) {
-            let indexed = self.ensure_index(&rel)?;
+        for EnsuredIndex {
+            relation, indexed, ..
+        } in self.ensure_sentence_indices(f)?
+        {
             let detail = if indexed {
-                let idx = self.ldb.index(&rel).expect("just ensured");
+                let idx = self.ldb.index(&relation).expect("just ensured");
                 IndexInfo {
-                    relation: rel.clone(),
+                    relation,
                     nodes: self.ldb.manager().size(idx.root),
                     ordering: idx.ordering.clone(),
                     sql_only: false,
                 }
             } else {
                 IndexInfo {
-                    relation: rel.clone(),
+                    relation,
                     nodes: 0,
                     ordering: vec![],
                     sql_only: true,
@@ -1386,8 +1321,12 @@ mod tests {
         let mut ck = Checker::new(db(), CheckerOptions::default());
         let f = parse(r#"forall c, a, s. CUST(c, a, s) & c = "Toronto" -> a in {416}"#).unwrap();
         assert!(!ck.check(&f).unwrap().holds);
-        let (names, mut bdd_rows) = ck
-            .find_violations_bdd(&f, 100)
+        let CountedViolations {
+            vars: names,
+            rows: mut bdd_rows,
+            ..
+        } = ck
+            .find_violations_counted(&f, 100)
             .unwrap()
             .expect("∀-prefixed constraint");
         // SQL path for the same constraint.
@@ -1412,17 +1351,18 @@ mod tests {
         let mut ck = Checker::new(db(), CheckerOptions::default());
         // Everything violates this (no Toronto customer has areacode 905).
         let f = parse(r#"forall c, a, s. CUST(c, a, s) -> a = 905"#).unwrap();
-        let (_, rows) = ck.find_violations_bdd(&f, 2).unwrap().unwrap();
-        assert_eq!(rows.len(), 2, "limit must cap the enumeration");
-        let (_, all) = ck.find_violations_bdd(&f, 100).unwrap().unwrap();
-        assert_eq!(all.len(), 4, "four of five rows violate");
+        let capped = ck.find_violations_counted(&f, 2).unwrap().unwrap();
+        assert_eq!(capped.rows.len(), 2, "limit must cap the enumeration");
+        assert_eq!(capped.total, 4.0, "the count is exact despite the cap");
+        let all = ck.find_violations_counted(&f, 100).unwrap().unwrap();
+        assert_eq!(all.rows.len(), 4, "four of five rows violate");
     }
 
     #[test]
     fn bdd_violation_enumeration_declines_existentials() {
         let mut ck = Checker::new(db(), CheckerOptions::default());
         let f = parse(r#"exists c, a, s. CUST(c, a, s)"#).unwrap();
-        assert!(ck.find_violations_bdd(&f, 10).unwrap().is_none());
+        assert!(ck.find_violations_counted(&f, 10).unwrap().is_none());
     }
 
     #[test]

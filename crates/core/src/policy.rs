@@ -40,7 +40,6 @@ use relcheck_bdd::{order, DecodeError, OpKind, OP_KINDS};
 use relcheck_logic::Formula;
 use std::collections::{BTreeMap, HashSet};
 use std::fs;
-use std::io::Write;
 use std::path::Path;
 use std::time::Duration;
 
@@ -360,29 +359,8 @@ impl WorkloadProfile {
             message: e.to_string(),
         };
         fs::create_dir_all(dir).map_err(|e| io_err("create", dir, e))?;
-        let final_path = dir.join(PROFILE_FILE);
-        let tmp = dir.join(format!("{PROFILE_FILE}.tmp"));
-        let bytes = self.to_bytes();
-        let write = || -> std::io::Result<()> {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-            fs::rename(&tmp, &final_path)?;
-            sync_dir(dir);
-            Ok(())
-        };
-        write().map_err(|e| {
-            let _ = fs::remove_file(&tmp);
-            io_err("write", &final_path, e)
-        })
-    }
-}
-
-/// fsync a directory so a rename inside it is durable (best-effort — not
-/// every platform supports opening directories).
-fn sync_dir(dir: &Path) {
-    if let Ok(d) = fs::File::open(dir) {
-        let _ = d.sync_all();
+        crate::store::write_atomic(dir, PROFILE_FILE, &self.to_bytes())
+            .map_err(|e| io_err("write", &dir.join(PROFILE_FILE), e))
     }
 }
 

@@ -1209,26 +1209,13 @@ impl IndexStore {
         seg_name: &str,
         bytes: &[u8],
     ) -> std::result::Result<(), bool> {
-        let final_path = self.dir.join(seg_name);
         if failpoint::enabled()
             && failpoint::should_fail(failpoint::SEGMENT_WRITE, failpoint::key_str(relation))
         {
-            let _ = fs::write(&final_path, &bytes[..bytes.len() / 2]);
+            let _ = fs::write(self.dir.join(seg_name), &bytes[..bytes.len() / 2]);
             return Err(true);
         }
-        let tmp = self.dir.join(format!("{seg_name}.tmp"));
-        let write = || -> std::io::Result<()> {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_all()?;
-            fs::rename(&tmp, &final_path)?;
-            sync_dir(&self.dir);
-            Ok(())
-        };
-        write().map_err(|_| {
-            let _ = fs::remove_file(&tmp);
-            false
-        })
+        write_atomic(&self.dir, seg_name, bytes).map_err(|_| false)
     }
 
     /// Commit the manifest atomically. The `manifest-write` failpoint
@@ -1236,23 +1223,12 @@ impl IndexStore {
     /// (as if the rename landed but the data did not).
     fn commit_manifest(&mut self) {
         let bytes = encode_manifest(&self.manifest);
-        let final_path = self.manifest_path();
         if failpoint::enabled() && failpoint::should_fail(failpoint::MANIFEST_WRITE, 0) {
-            let _ = fs::write(&final_path, &bytes[..bytes.len() / 2]);
+            let _ = fs::write(self.manifest_path(), &bytes[..bytes.len() / 2]);
             self.stats.write_failures += 1;
             return;
         }
-        let tmp = self.dir.join("manifest.tmp");
-        let write = || -> std::io::Result<()> {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-            fs::rename(&tmp, &final_path)?;
-            sync_dir(&self.dir);
-            Ok(())
-        };
-        if write().is_err() {
-            let _ = fs::remove_file(&tmp);
+        if write_atomic(&self.dir, "manifest", &bytes).is_err() {
             self.stats.write_failures += 1;
         }
     }
@@ -1388,10 +1364,25 @@ impl IndexStore {
     }
 }
 
-/// fsync a directory so a rename inside it is durable (best-effort — not
-/// every platform supports opening directories).
-fn sync_dir(dir: &Path) {
-    if let Ok(d) = fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
+/// Replace `dir/name` with `bytes` atomically: write `name.tmp`, fsync it,
+/// rename it over the final path, fsync the directory. A crash at any
+/// point leaves either the old file or the new one, never a torn file at
+/// the final path; on error the temp file is removed.
+pub(crate) fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = dir.join(format!("{name}.tmp"));
+    let write = || -> std::io::Result<()> {
+        let mut f = fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+        fs::rename(&tmp, dir.join(name))?;
+        // fsync the directory so the rename is durable (best-effort — not
+        // every platform supports opening directories).
+        if let Ok(d) = fs::File::open(dir) {
+            let _ = d.sync_all();
+        }
+        Ok(())
+    };
+    write().inspect_err(|_| {
+        let _ = fs::remove_file(&tmp);
+    })
 }

@@ -135,6 +135,20 @@ pub enum FallbackReason {
     Overload,
 }
 
+impl FallbackReason {
+    /// Stable machine-readable name, as the metrics schema reports it.
+    pub fn name(&self) -> &'static str {
+        match self {
+            FallbackReason::NodeLimit { .. } => "node_limit",
+            FallbackReason::UnindexedRelation => "unindexed_relation",
+            FallbackReason::Deadline => "deadline",
+            FallbackReason::RetryExhausted { .. } => "retry_exhausted",
+            FallbackReason::Panic(_) => "panic",
+            FallbackReason::Overload => "overload",
+        }
+    }
+}
+
 /// Wall-clock phase breakdown of one check (captured only with telemetry
 /// enabled).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -163,7 +177,8 @@ pub struct PassStat {
     pub gated: u64,
 }
 
-/// Plan-cache counters for a registry-driven run (schema v4).
+/// Plan-cache counters for a registry-driven run (`plan_cache` in the
+/// schema).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheMetrics {
     /// Checks answered by a cached [`crate::plan::CheckPlan`] whose
@@ -174,7 +189,7 @@ pub struct PlanCacheMetrics {
     pub misses: u64,
 }
 
-/// Workload-driven policy counters (schema v8): what the
+/// Workload-driven policy counters (`policy` in the schema): what the
 /// [`crate::policy`] advisor recommended and what applying it did.
 /// `None` at the [`RunMetrics`] level means the run never consulted the
 /// advisor (static routing).
@@ -369,8 +384,8 @@ pub struct IndexCacheMetrics {
     pub recoveries: Vec<RecoveryRecord>,
 }
 
-/// Session counters for a `relcheck serve` run (`serve` in the schema,
-/// since v5). `None` on `RunMetrics` means the run was a batch job.
+/// Session counters for a `relcheck serve` run (`serve` in the schema).
+/// `None` on `RunMetrics` means the run was a batch job.
 ///
 /// `checks`, `constraints_checked`, `constraints_skipped`, and the
 /// dirty-set gauges count only protocol `check` requests; the priming
@@ -403,8 +418,8 @@ pub struct ServeMetrics {
     pub full_ns: u64,
 }
 
-/// Certificate audit counters (`audit` in the schema, since v6). `None`
-/// on [`RunMetrics`] means the run did not emit or verify certificates.
+/// Certificate audit counters (`audit` in the schema). `None` on
+/// [`RunMetrics`] means the run did not emit or verify certificates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AuditMetrics {
     /// Certificates emitted.
@@ -420,8 +435,8 @@ pub struct AuditMetrics {
 }
 
 /// Admission-governor counters for a `relcheck serve` run (`overload` in
-/// the schema, since v7). `None` on [`RunMetrics`] means the run was a
-/// batch job. Conservation: `shed <= admitted` and `drained <= admitted`
+/// the schema). `None` on [`RunMetrics`] means the run was a batch job.
+/// Conservation: `shed <= admitted` and `drained <= admitted`
 /// (`metrics-check` enforces both).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OverloadMetrics {
@@ -537,18 +552,11 @@ impl RunMetrics {
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.obj_open();
-        w.key("schema_version");
-        w.raw("8");
+        w.field("schema_version", SCHEMA_VERSION);
         w.key("tool");
         w.string("relcheck");
-        w.key("threads");
-        w.raw(&self.threads.to_string());
-        w.key("telemetry_enabled");
-        w.raw(if self.telemetry_enabled {
-            "true"
-        } else {
-            "false"
-        });
+        w.field("threads", self.threads);
+        w.field("telemetry_enabled", self.telemetry_enabled);
         w.key("constraints");
         w.arr_open();
         for c in &self.constraints {
@@ -562,135 +570,270 @@ impl RunMetrics {
         }
         w.key("degradation");
         write_degradation(&mut w, &self.degradation);
-        w.key("index_cache");
-        match &self.index_cache {
-            None => w.raw("null"),
-            Some(ic) => write_index_cache(&mut w, ic),
-        }
-        w.key("plan_cache");
-        match &self.plan_cache {
-            None => w.raw("null"),
-            Some(pc) => {
+        INDEX_CACHE.write(&mut w, self.index_cache.as_ref(), |w, ic| {
+            w.key("recoveries");
+            w.arr_open();
+            for r in &ic.recoveries {
                 w.obj_open();
-                w.key("hits");
-                w.raw(&pc.hits.to_string());
-                w.key("misses");
-                w.raw(&pc.misses.to_string());
+                w.key("relation");
+                w.string(&r.relation);
+                w.key("reason");
+                w.string(r.reason);
+                w.key("detail");
+                w.string(&r.detail);
                 w.obj_close();
             }
-        }
-        w.key("serve");
-        match &self.serve {
-            None => w.raw("null"),
-            Some(sv) => {
-                w.obj_open();
-                for (k, v) in [
-                    ("requests", sv.requests),
-                    ("deltas", sv.deltas),
-                    ("checks", sv.checks),
-                    ("constraints_checked", sv.constraints_checked),
-                    ("constraints_skipped", sv.constraints_skipped),
-                    ("dirty_peak", sv.dirty_peak),
-                    ("dirty_total", sv.dirty_total),
-                    ("incremental_ns", sv.incremental_ns),
-                    ("full_ns", sv.full_ns),
-                ] {
-                    w.key(k);
-                    w.raw(&v.to_string());
-                }
-                w.obj_close();
-            }
-        }
-        w.key("audit");
-        match &self.audit {
-            None => w.raw("null"),
-            Some(a) => {
-                w.obj_open();
-                for (k, v) in [
-                    ("emitted", a.emitted),
-                    ("verified", a.verified),
-                    ("failed", a.failed),
-                    ("witnesses", a.witnesses),
-                ] {
-                    w.key(k);
-                    w.raw(&v.to_string());
-                }
-                w.obj_close();
-            }
-        }
-        w.key("overload");
-        match &self.overload {
-            None => w.raw("null"),
-            Some(ov) => {
-                w.obj_open();
-                for (k, v) in [
-                    ("admitted", ov.admitted),
-                    ("shed", ov.shed),
-                    ("rejected", ov.rejected),
-                    ("retries", ov.retries),
-                    ("watchdog_fires", ov.watchdog_fires),
-                    ("drained", ov.drained),
-                ] {
-                    w.key(k);
-                    w.raw(&v.to_string());
-                }
-                w.obj_close();
-            }
-        }
-        w.key("policy");
-        match &self.policy {
-            None => w.raw("null"),
-            Some(p) => {
-                w.obj_open();
-                for (k, v) in [
-                    ("relations", p.relations),
-                    ("advised_bdd", p.advised_bdd),
-                    ("advised_sql", p.advised_sql),
-                    ("applied_sql_only", p.applied_sql_only),
-                    ("applied_rebuilds", p.applied_rebuilds),
-                    ("reseeded", p.reseeded),
-                    ("readvises", p.readvises),
-                    ("cache_slots", p.cache_slots),
-                    ("profile_checks", p.profile_checks),
-                ] {
-                    w.key(k);
-                    w.raw(&v.to_string());
-                }
-                w.obj_close();
-            }
-        }
+            w.arr_close();
+        });
+        PLAN_CACHE.write(&mut w, self.plan_cache.as_ref(), |_, _| {});
+        SERVE.write(&mut w, self.serve.as_ref(), |_, _| {});
+        AUDIT.write(&mut w, self.audit.as_ref(), |_, _| {});
+        OVERLOAD.write(&mut w, self.overload.as_ref(), |_, _| {});
+        POLICY.write(&mut w, self.policy.as_ref(), |_, _| {});
         w.obj_close();
         w.finish()
     }
 }
 
-fn write_index_cache(w: &mut JsonWriter, ic: &IndexCacheMetrics) {
-    w.obj_open();
-    for (k, v) in [
-        ("hits", ic.hits),
-        ("misses", ic.misses),
-        ("rebuilds", ic.rebuilds),
-        ("journal_replayed", ic.journal_replayed),
-        ("write_failures", ic.write_failures),
-    ] {
-        w.key(k);
-        w.raw(&v.to_string());
+/// The metrics schema version [`RunMetrics::to_json`] writes and the only
+/// one [`validate_metrics_json`] accepts.
+const SCHEMA_VERSION: i64 = 8;
+
+/// A conservation law between counters, as data: the sum of the `lhs`
+/// operands compared with the `rhs` operand. Operands are `block.field`
+/// paths, so a law may span blocks; it applies only when every block it
+/// names is present (non-`null`).
+struct Law {
+    lhs: &'static [&'static str],
+    cmp: Cmp,
+    rhs: &'static str,
+}
+
+#[derive(Clone, Copy)]
+enum Cmp {
+    /// `Σ lhs <= rhs`.
+    Le,
+    /// `Σ lhs == rhs`.
+    Eq,
+    /// `Σ lhs <= rhs`, enforced only when `rhs > 0`.
+    LeIfRhsPositive,
+}
+
+const fn law(lhs: &'static [&'static str], cmp: Cmp, rhs: &'static str) -> Law {
+    Law { lhs, cmp, rhs }
+}
+
+impl Law {
+    /// Check the law against the counters validated so far.
+    fn check(&self, seen: &[(String, i64)]) -> std::result::Result<(), String> {
+        let get = |path: &str| seen.iter().find(|(p, _)| p == path).map(|&(_, v)| v);
+        let Some(rhs) = get(self.rhs) else {
+            return Ok(());
+        };
+        let mut lhs: i128 = 0;
+        for path in self.lhs {
+            match get(path) {
+                Some(v) => lhs += i128::from(v),
+                None => return Ok(()),
+            }
+        }
+        let rhs = i128::from(rhs);
+        let broken = match self.cmp {
+            Cmp::Eq => lhs != rhs,
+            Cmp::Le => lhs > rhs,
+            Cmp::LeIfRhsPositive => rhs > 0 && lhs > rhs,
+        };
+        if !broken {
+            return Ok(());
+        }
+        let relation = if matches!(self.cmp, Cmp::Eq) {
+            "but"
+        } else {
+            "exceeds"
+        };
+        Err(format!(
+            "{} = {lhs} {relation} {} = {rhs}",
+            self.lhs.join(" + "),
+            self.rhs
+        ))
     }
-    w.key("recoveries");
-    w.arr_open();
-    for r in &ic.recoveries {
+}
+
+/// A flat counter block of the metrics document, as data: its JSON key,
+/// its counters in output order, and its conservation laws.
+/// [`RunMetrics::to_json`] writes the block by walking `fields`, and
+/// [`validate_metrics_json`] checks the same fields (present, integer,
+/// ≥ 0) and then `laws` — so the writer and the validator cannot drift,
+/// and a new counter is one entry in its block's table.
+struct CounterBlock<T: 'static> {
+    name: &'static str,
+    fields: &'static [Counter<T>],
+    laws: &'static [Law],
+}
+
+/// One counter of a [`CounterBlock`]: its JSON key and its reader.
+type Counter<T> = (&'static str, fn(&T) -> u64);
+
+impl<T> CounterBlock<T> {
+    /// Write `"name":{…}`, or `"name":null` for an absent block. `tail`
+    /// appends any bespoke members after the counters.
+    fn write(&self, w: &mut JsonWriter, value: Option<&T>, tail: fn(&mut JsonWriter, &T)) {
+        w.key(self.name);
+        let Some(v) = value else {
+            return w.raw("null");
+        };
         w.obj_open();
-        w.key("relation");
-        w.string(&r.relation);
-        w.key("reason");
-        w.string(r.reason);
-        w.key("detail");
-        w.string(&r.detail);
+        for (field, get) in self.fields {
+            w.field(field, get(v));
+        }
+        tail(w, v);
         w.obj_close();
     }
-    w.arr_close();
-    w.obj_close();
+
+    /// Validate the block in `doc`: the key must be present (`null` for an
+    /// absent block), every counter an integer ≥ 0, and every law must
+    /// hold. Records the counters in `seen` as `block.field` for later
+    /// blocks' laws. Returns the block when it is not `null`.
+    fn validate<'d>(
+        &self,
+        doc: &'d Json,
+        seen: &mut Vec<(String, i64)>,
+    ) -> std::result::Result<Option<&'d Json>, String> {
+        let name = self.name;
+        let block = doc.get(name).ok_or(format!("missing field {name:?}"))?;
+        if matches!(block, Json::Null) {
+            return Ok(None);
+        }
+        for (field, _) in self.fields {
+            let v = block
+                .get(field)
+                .and_then(Json::as_int)
+                .ok_or(format!("{name}: missing integer field {field:?}"))?;
+            if v < 0 {
+                return Err(format!("{name}.{field} = {v} < 0"));
+            }
+            seen.push((format!("{name}.{field}"), v));
+        }
+        for l in self.laws {
+            l.check(seen)?;
+        }
+        Ok(Some(block))
+    }
 }
+
+/// `index_cache`: persistent index store counters. Its `recoveries` array
+/// and the `rebuilds <= len(recoveries)` law are bespoke (see
+/// [`validate_metrics_json`]).
+const INDEX_CACHE: CounterBlock<IndexCacheMetrics> = CounterBlock {
+    name: "index_cache",
+    fields: &[
+        ("hits", |m| m.hits),
+        ("misses", |m| m.misses),
+        ("rebuilds", |m| m.rebuilds),
+        ("journal_replayed", |m| m.journal_replayed),
+        ("write_failures", |m| m.write_failures),
+    ],
+    laws: &[],
+};
+
+/// `plan_cache`: registry plan-cache counters.
+const PLAN_CACHE: CounterBlock<PlanCacheMetrics> = CounterBlock {
+    name: "plan_cache",
+    fields: &[("hits", |m| m.hits), ("misses", |m| m.misses)],
+    laws: &[],
+};
+
+/// `serve`: session counters.
+const SERVE: CounterBlock<ServeMetrics> = CounterBlock {
+    name: "serve",
+    fields: &[
+        ("requests", |m| m.requests),
+        ("deltas", |m| m.deltas),
+        ("checks", |m| m.checks),
+        ("constraints_checked", |m| m.constraints_checked),
+        ("constraints_skipped", |m| m.constraints_skipped),
+        ("dirty_peak", |m| m.dirty_peak),
+        ("dirty_total", |m| m.dirty_total),
+        ("incremental_ns", |m| m.incremental_ns),
+        ("full_ns", |m| m.full_ns),
+    ],
+    laws: &[
+        // The peak dirty-set size is one of the sizes summed into the total.
+        law(&["serve.dirty_peak"], Cmp::Le, "serve.dirty_total"),
+        // Every delta and check is a request.
+        law(&["serve.deltas", "serve.checks"], Cmp::Le, "serve.requests"),
+    ],
+};
+
+/// `audit`: certificate counters.
+const AUDIT: CounterBlock<AuditMetrics> = CounterBlock {
+    name: "audit",
+    fields: &[
+        ("emitted", |m| m.emitted),
+        ("verified", |m| m.verified),
+        ("failed", |m| m.failed),
+        ("witnesses", |m| m.witnesses),
+    ],
+    laws: &[
+        // In an emitting run every verification outcome refers to an
+        // emitted certificate; a verify-only run reports emitted = 0 and
+        // its verified/failed tallies stand alone.
+        law(
+            &["audit.verified", "audit.failed"],
+            Cmp::LeIfRhsPositive,
+            "audit.emitted",
+        ),
+    ],
+};
+
+/// `overload`: admission-governor counters.
+const OVERLOAD: CounterBlock<OverloadMetrics> = CounterBlock {
+    name: "overload",
+    fields: &[
+        ("admitted", |m| m.admitted),
+        ("shed", |m| m.shed),
+        ("rejected", |m| m.rejected),
+        ("retries", |m| m.retries),
+        ("watchdog_fires", |m| m.watchdog_fires),
+        ("drained", |m| m.drained),
+    ],
+    laws: &[
+        // Shed requests are a subset of admitted ones (rejected requests
+        // never reach the engine), and the drain phase only serves
+        // requests that were already admitted.
+        law(&["overload.shed"], Cmp::Le, "overload.admitted"),
+        law(&["overload.drained"], Cmp::Le, "overload.admitted"),
+        // Every engine-visible request was admitted by the governor (the
+        // engine skips blank/comment lines, so <=, not ==).
+        law(&["serve.requests"], Cmp::Le, "overload.admitted"),
+    ],
+};
+
+/// `policy`: workload-driven advisor counters.
+const POLICY: CounterBlock<PolicyMetrics> = CounterBlock {
+    name: "policy",
+    fields: &[
+        ("relations", |m| m.relations),
+        ("advised_bdd", |m| m.advised_bdd),
+        ("advised_sql", |m| m.advised_sql),
+        ("applied_sql_only", |m| m.applied_sql_only),
+        ("applied_rebuilds", |m| m.applied_rebuilds),
+        ("reseeded", |m| m.reseeded),
+        ("readvises", |m| m.readvises),
+        ("cache_slots", |m| m.cache_slots),
+        ("profile_checks", |m| m.profile_checks),
+    ],
+    laws: &[
+        // Every examined relation got exactly one route, and only
+        // SQL-advised relations can be newly marked SQL-only.
+        law(
+            &["policy.advised_bdd", "policy.advised_sql"],
+            Cmp::Eq,
+            "policy.relations",
+        ),
+        law(&["policy.applied_sql_only"], Cmp::Le, "policy.advised_sql"),
+    ],
+};
 
 fn method_name(m: Method) -> &'static str {
     match m {
@@ -703,12 +846,9 @@ fn method_name(m: Method) -> &'static str {
 
 fn write_degradation(w: &mut JsonWriter, d: &DegradationSummary) {
     w.obj_open();
-    w.key("degraded");
-    w.raw(&d.degraded.to_string());
-    w.key("errored");
-    w.raw(&d.errored.to_string());
-    w.key("fallbacks");
-    w.raw(&d.fallbacks.to_string());
+    w.field("degraded", d.degraded);
+    w.field("errored", d.errored);
+    w.field("fallbacks", d.fallbacks);
     w.key("failpoints");
     match &d.failpoints {
         None => w.raw("null"),
@@ -724,8 +864,7 @@ fn write_degradation(w: &mut JsonWriter, d: &DegradationSummary) {
                 w.obj_open();
                 w.key("site");
                 w.string(site);
-                w.key("count");
-                w.raw(&count.to_string());
+                w.field("count", count);
                 w.obj_close();
             }
             w.arr_close();
@@ -739,8 +878,7 @@ fn write_constraint(w: &mut JsonWriter, c: &ConstraintMetrics) {
     w.obj_open();
     w.key("name");
     w.string(&c.name);
-    w.key("holds");
-    w.raw(if c.holds { "true" } else { "false" });
+    w.field("holds", c.holds);
     w.key("verdict");
     w.string(c.verdict.name());
     w.key("error");
@@ -750,8 +888,7 @@ fn write_constraint(w: &mut JsonWriter, c: &ConstraintMetrics) {
     }
     w.key("method");
     w.string(method_name(c.method));
-    w.key("elapsed_ns");
-    w.raw(&(c.elapsed.as_nanos() as u64).to_string());
+    w.field("elapsed_ns", c.elapsed.as_nanos() as u64);
     w.key("trace");
     match &c.trace {
         None => w.raw("null"),
@@ -770,8 +907,7 @@ fn write_trace(w: &mut JsonWriter, t: &CheckTrace) {
         w.obj_open();
         w.key("rule");
         w.string(r.rule.name());
-        w.key("count");
-        w.raw(&r.count.to_string());
+        w.field("count", r.count);
         w.obj_close();
     }
     w.arr_close();
@@ -786,10 +922,8 @@ fn write_trace(w: &mut JsonWriter, t: &CheckTrace) {
             None => w.raw("null"),
             Some(r) => w.string(r.name()),
         }
-        w.key("fired");
-        w.raw(&p.fired.to_string());
-        w.key("gated");
-        w.raw(&p.gated.to_string());
+        w.field("fired", p.fired);
+        w.field("gated", p.gated);
         w.obj_close();
     }
     w.arr_close();
@@ -807,50 +941,22 @@ fn write_trace(w: &mut JsonWriter, t: &CheckTrace) {
     w.key("fallback");
     match &t.fallback {
         None => w.raw("null"),
-        Some(FallbackReason::NodeLimit { limit, live }) => {
+        Some(fb) => {
             w.obj_open();
             w.key("reason");
-            w.string("node_limit");
-            w.key("limit");
-            w.raw(&limit.to_string());
-            w.key("live");
-            w.raw(&live.to_string());
-            w.obj_close();
-        }
-        Some(FallbackReason::UnindexedRelation) => {
-            w.obj_open();
-            w.key("reason");
-            w.string("unindexed_relation");
-            w.obj_close();
-        }
-        Some(FallbackReason::Deadline) => {
-            w.obj_open();
-            w.key("reason");
-            w.string("deadline");
-            w.obj_close();
-        }
-        Some(FallbackReason::RetryExhausted { limit, live }) => {
-            w.obj_open();
-            w.key("reason");
-            w.string("retry_exhausted");
-            w.key("limit");
-            w.raw(&limit.to_string());
-            w.key("live");
-            w.raw(&live.to_string());
-            w.obj_close();
-        }
-        Some(FallbackReason::Panic(msg)) => {
-            w.obj_open();
-            w.key("reason");
-            w.string("panic");
-            w.key("message");
-            w.string(msg);
-            w.obj_close();
-        }
-        Some(FallbackReason::Overload) => {
-            w.obj_open();
-            w.key("reason");
-            w.string("overload");
+            w.string(fb.name());
+            match fb {
+                FallbackReason::NodeLimit { limit, live }
+                | FallbackReason::RetryExhausted { limit, live } => {
+                    w.field("limit", limit);
+                    w.field("live", live);
+                }
+                FallbackReason::Panic(msg) => {
+                    w.key("message");
+                    w.string(msg);
+                }
+                _ => {}
+            }
             w.obj_close();
         }
     }
@@ -862,12 +968,9 @@ fn write_trace(w: &mut JsonWriter, t: &CheckTrace) {
     w.arr_close();
     w.key("timings");
     w.obj_open();
-    w.key("index_ns");
-    w.raw(&(t.timings.index.as_nanos() as u64).to_string());
-    w.key("eval_ns");
-    w.raw(&(t.timings.eval.as_nanos() as u64).to_string());
-    w.key("total_ns");
-    w.raw(&(t.timings.total.as_nanos() as u64).to_string());
+    w.field("index_ns", t.timings.index.as_nanos() as u64);
+    w.field("eval_ns", t.timings.eval.as_nanos() as u64);
+    w.field("total_ns", t.timings.total.as_nanos() as u64);
     w.obj_close();
     w.key("bdd");
     write_delta(w, &t.bdd);
@@ -876,14 +979,10 @@ fn write_trace(w: &mut JsonWriter, t: &CheckTrace) {
 
 fn write_delta(w: &mut JsonWriter, d: &StatsDelta) {
     w.obj_open();
-    w.key("created_nodes");
-    w.raw(&d.created_nodes.to_string());
-    w.key("cache_hits");
-    w.raw(&d.cache_hits.to_string());
-    w.key("cache_misses");
-    w.raw(&d.cache_misses.to_string());
-    w.key("gc_runs");
-    w.raw(&d.gc_runs.to_string());
+    w.field("created_nodes", d.created_nodes);
+    w.field("cache_hits", d.cache_hits);
+    w.field("cache_misses", d.cache_misses);
+    w.field("gc_runs", d.gc_runs);
     w.key("ops");
     w.arr_open();
     for (i, kind) in OpKind::ALL.iter().enumerate() {
@@ -891,12 +990,9 @@ fn write_delta(w: &mut JsonWriter, d: &StatsDelta) {
         w.obj_open();
         w.key("op");
         w.string(kind.name());
-        w.key("calls");
-        w.raw(&s.calls.to_string());
-        w.key("cache_hits");
-        w.raw(&s.cache_hits.to_string());
-        w.key("cache_misses");
-        w.raw(&s.cache_misses.to_string());
+        w.field("calls", s.calls);
+        w.field("cache_hits", s.cache_hits);
+        w.field("cache_misses", s.cache_misses);
         w.obj_close();
     }
     w.arr_close();
@@ -909,18 +1005,15 @@ fn write_fleet(w: &mut JsonWriter, fl: &FleetTelemetry) {
     w.arr_open();
     for wk in &fl.workers {
         w.obj_open();
-        w.key("worker");
-        w.raw(&wk.worker.to_string());
+        w.field("worker", wk.worker);
         w.key("constraints");
         w.arr_open();
         for &i in &wk.constraints {
             w.raw(&i.to_string());
         }
         w.arr_close();
-        w.key("peak_nodes");
-        w.raw(&wk.peak_nodes.to_string());
-        w.key("depth_hwm");
-        w.raw(&wk.depth_hwm.to_string());
+        w.field("peak_nodes", wk.peak_nodes);
+        w.field("depth_hwm", wk.depth_hwm);
         w.key("bdd");
         write_delta(w, &wk.bdd);
         w.obj_close();
@@ -1011,6 +1104,12 @@ impl JsonWriter {
     pub(crate) fn raw(&mut self, v: &str) {
         self.pre_value();
         self.out.push_str(v);
+    }
+
+    /// A key and a bare number or boolean value.
+    pub(crate) fn field(&mut self, k: &str, v: impl std::fmt::Display) {
+        self.key(k);
+        self.raw(&v.to_string());
     }
 
     pub(crate) fn finish(self) -> String {
@@ -1237,52 +1336,112 @@ fn parse_value(b: &[u8], pos: &mut usize) -> std::result::Result<Json, String> {
     }
 }
 
-/// The op-kind names a `bdd` block must list, in order.
-fn op_kind_names() -> Vec<&'static str> {
-    OpKind::ALL.iter().map(|k| k.name()).collect()
+/// Closed vocabularies of the metrics and plan documents. Anything outside
+/// these lists is rejected, so a new name must be added here (and
+/// documented in DESIGN.md §5d) before it can ship.
+const VERDICTS: [&str; 4] = ["holds", "violated", "degraded", "errored"];
+const METHODS: [&str; 4] = ["bdd", "sql_fallback", "brute_force", "aborted"];
+const RULES: [&str; 4] = ["R1", "R2", "R3", "R4"];
+const PASSES: [&str; 4] = [
+    "prenex-pullup",
+    "strip-leading-block",
+    "refutation-nnf",
+    "forall-pushdown",
+];
+const PROVENANCES: [&str; 3] = ["built", "reused", "sql_only"];
+const FALLBACK_REASONS: [&str; 6] = [
+    "node_limit",
+    "unindexed_relation",
+    "deadline",
+    "retry_exhausted",
+    "panic",
+    "overload",
+];
+const LADDER_RUNGS: [&str; 6] = [
+    "bdd",
+    "gc_retry",
+    "sql",
+    "brute_force",
+    "degraded",
+    "errored",
+];
+
+type Checked<T> = std::result::Result<T, String>;
+
+fn int_field(v: &Json, at: &str, field: &str) -> Checked<i64> {
+    v.get(field)
+        .and_then(Json::as_int)
+        .ok_or(format!("{at}: missing integer field {field:?}"))
 }
 
-fn check_delta_block(v: &Json, at: &str) -> std::result::Result<(), String> {
-    for field in ["created_nodes", "cache_hits", "cache_misses", "gc_runs"] {
-        v.get(field)
-            .and_then(Json::as_int)
-            .ok_or(format!("{at}: missing integer field {field:?}"))?;
+/// An integer field that must be `>= 0`.
+fn count_field(v: &Json, at: &str, field: &str) -> Checked<i64> {
+    let n = int_field(v, at, field)?;
+    if n < 0 {
+        return Err(format!("{at}: {field:?} must be non-negative, got {n}"));
     }
-    let ops = v
-        .get("ops")
+    Ok(n)
+}
+
+fn str_field<'a>(v: &'a Json, at: &str, field: &str) -> Checked<&'a str> {
+    v.get(field)
+        .and_then(Json::as_str)
+        .ok_or(format!("{at}: missing string field {field:?}"))
+}
+
+fn arr_field<'a>(v: &'a Json, at: &str, field: &str) -> Checked<&'a [Json]> {
+    v.get(field)
         .and_then(Json::as_arr)
-        .ok_or(format!("{at}: missing array field \"ops\""))?;
-    let names = op_kind_names();
-    if ops.len() != names.len() {
+        .ok_or(format!("{at}: missing array field {field:?}"))
+}
+
+fn known(at: &str, what: &str, name: &str, vocabulary: &[&str]) -> Checked<()> {
+    if vocabulary.contains(&name) {
+        Ok(())
+    } else {
+        Err(format!("{at}: unknown {what} {name:?}"))
+    }
+}
+
+/// A planner-pass entry (shared by traces and `relcheck plan --json`):
+/// known pass name, `rule` null or a known rule, `fired`/`gated` >= 0.
+fn check_pass(p: &Json, at: &str) -> Checked<()> {
+    let name = str_field(p, at, "pass")?;
+    known(at, "pass", name, &PASSES)?;
+    match p.get("rule") {
+        Some(Json::Null) => {}
+        Some(Json::Str(r)) if RULES.contains(&r.as_str()) => {}
+        other => return Err(format!("{at}: pass {name:?} has bad \"rule\" {other:?}")),
+    }
+    count_field(p, at, "fired")?;
+    count_field(p, at, "gated")?;
+    Ok(())
+}
+
+fn check_delta_block(v: &Json, at: &str) -> Checked<()> {
+    for field in ["created_nodes", "cache_hits", "cache_misses", "gc_runs"] {
+        int_field(v, at, field)?;
+    }
+    let ops = arr_field(v, at, "ops")?;
+    if ops.len() != OpKind::ALL.len() {
         return Err(format!(
             "{at}: ops must list all {} kinds, got {}",
-            names.len(),
+            OpKind::ALL.len(),
             ops.len()
         ));
     }
-    for (o, want) in ops.iter().zip(&names) {
-        let got = o
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or(format!("{at}: op entry missing \"op\""))?;
-        if got != *want {
-            return Err(format!("{at}: expected op {want:?}, got {got:?}"));
+    for (o, want) in ops.iter().zip(OpKind::ALL) {
+        let got = str_field(o, at, "op")?;
+        if got != want.name() {
+            return Err(format!("{at}: expected op {:?}, got {got:?}", want.name()));
         }
-        let calls = o
-            .get("calls")
-            .and_then(Json::as_int)
-            .ok_or(format!("{at}: op {got:?} missing \"calls\""))?;
-        let hits = o
-            .get("cache_hits")
-            .and_then(Json::as_int)
-            .ok_or(format!("{at}: op {got:?} missing \"cache_hits\""))?;
-        let misses = o
-            .get("cache_misses")
-            .and_then(Json::as_int)
-            .ok_or(format!("{at}: op {got:?} missing \"cache_misses\""))?;
+        let at = format!("{at}: op {got:?}");
+        let calls = int_field(o, &at, "calls")?;
+        let hits = int_field(o, &at, "cache_hits")?;
+        let misses = int_field(o, &at, "cache_misses")?;
         if calls != hits + misses {
             return Err(format!(
-                "{at}: op {got:?} violates calls == hits + misses ({calls} != {hits} + {misses})"
+                "{at} violates calls == hits + misses ({calls} != {hits} + {misses})"
             ));
         }
     }
@@ -1293,16 +1452,189 @@ fn delta_field(v: &Json, field: &str) -> i64 {
     v.get(field).and_then(Json::as_int).unwrap_or(0)
 }
 
-/// Validate a metrics document against the schema: required fields and
-/// types, per-op conservation laws, and — when a fleet section is present
-/// — that the fleet totals equal the sum of the per-worker counters.
+fn check_trace(t: &Json, at: &str) -> Checked<()> {
+    for r in arr_field(t, at, "rules")? {
+        let name = str_field(r, at, "rule")?;
+        known(at, "rule", name, &RULES)?;
+        let count = int_field(r, at, "count")?;
+        if count <= 0 {
+            return Err(format!("{at}: rule {name:?} has count {count} <= 0"));
+        }
+    }
+    for p in arr_field(t, at, "passes")? {
+        check_pass(p, at)?;
+    }
+    for e in arr_field(t, at, "index_events")? {
+        known(
+            at,
+            "provenance",
+            str_field(e, at, "provenance")?,
+            &PROVENANCES,
+        )?;
+    }
+    match t.get("fallback") {
+        Some(Json::Null) | None => {}
+        Some(fb) => {
+            let at = format!("{at}.fallback");
+            known(
+                &at,
+                "reason",
+                str_field(fb, &at, "reason")?,
+                &FALLBACK_REASONS,
+            )?;
+        }
+    }
+    if let Some(ladder) = t.get("ladder") {
+        let at = format!("{at}.ladder");
+        let rungs = ladder
+            .as_arr()
+            .ok_or(format!("{at}: \"ladder\" must be an array"))?;
+        for r in rungs {
+            let name = r.as_str().ok_or(format!("{at}: rung must be a string"))?;
+            known(&at, "rung", name, &LADDER_RUNGS)?;
+        }
+    }
+    let timings = t
+        .get("timings")
+        .ok_or(format!("{at}: missing field \"timings\""))?;
+    for f in ["index_ns", "eval_ns", "total_ns"] {
+        int_field(timings, &format!("{at}.timings"), f)?;
+    }
+    let bdd = t.get("bdd").ok_or(format!("{at}: missing field \"bdd\""))?;
+    check_delta_block(bdd, &format!("{at}.bdd"))
+}
+
+fn check_constraint(c: &Json, at: &str) -> Checked<()> {
+    str_field(c, at, "name")?;
+    if !matches!(c.get("holds"), Some(Json::Bool(_))) {
+        return Err(format!("{at}: missing boolean field \"holds\""));
+    }
+    known(at, "verdict", str_field(c, at, "verdict")?, &VERDICTS)?;
+    match c.get("error") {
+        Some(Json::Null) | Some(Json::Str(_)) => {}
+        other => {
+            return Err(format!(
+                "{at}: \"error\" must be null or string, got {other:?}"
+            ))
+        }
+    }
+    known(at, "method", str_field(c, at, "method")?, &METHODS)?;
+    int_field(c, at, "elapsed_ns")?;
+    match c.get("trace") {
+        Some(Json::Null) | None => Ok(()),
+        Some(t) => check_trace(t, &format!("{at}.trace")),
+    }
+}
+
+/// The fleet totals must be exactly the sum of the per-worker counters,
+/// globally and per op kind.
+fn check_fleet(fleet: &Json) -> Checked<()> {
+    let workers = arr_field(fleet, "fleet", "workers")?;
+    let total = fleet.get("total").ok_or("fleet: missing field \"total\"")?;
+    check_delta_block(total, "fleet.total")?;
+    for (wi, w) in workers.iter().enumerate() {
+        let at = format!("fleet.workers[{wi}]");
+        let bdd = w.get("bdd").ok_or(format!("{at}: missing field \"bdd\""))?;
+        check_delta_block(bdd, &format!("{at}.bdd"))?;
+    }
+    let worker_sum = |field: &str, op: Option<usize>| -> i64 {
+        let bdds = workers.iter().filter_map(|w| w.get("bdd"));
+        match op {
+            None => bdds.map(|b| delta_field(b, field)).sum(),
+            Some(ki) => bdds
+                .filter_map(|b| b.get("ops").and_then(Json::as_arr))
+                .map(|ops| delta_field(&ops[ki], field))
+                .sum(),
+        }
+    };
+    for f in ["created_nodes", "cache_hits", "cache_misses", "gc_runs"] {
+        let (t, sum) = (delta_field(total, f), worker_sum(f, None));
+        if t != sum {
+            return Err(format!("fleet.total.{f} = {t} but per-worker sum is {sum}"));
+        }
+    }
+    let total_ops = total.get("ops").and_then(Json::as_arr).unwrap_or(&[]);
+    for (ki, op) in total_ops.iter().enumerate() {
+        let name = op.get("op").and_then(Json::as_str).unwrap_or("?");
+        for f in ["calls", "cache_hits", "cache_misses"] {
+            let (t, sum) = (delta_field(op, f), worker_sum(f, Some(ki)));
+            if t != sum {
+                return Err(format!(
+                    "fleet.total ops[{name}].{f} = {t} but per-worker sum is {sum}"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Degraded/errored counts must agree with the per-constraint verdicts.
+fn check_degradation(deg: &Json, constraints: &[Json]) -> Checked<()> {
+    for (f, verdict) in [("degraded", "degraded"), ("errored", "errored")] {
+        let count = count_field(deg, "degradation", f)?;
+        let tally = constraints
+            .iter()
+            .filter(|c| c.get("verdict").and_then(Json::as_str) == Some(verdict))
+            .count() as i64;
+        if count != tally {
+            return Err(format!(
+                "degradation.{f} = {count} but {tally} constraints report verdict {verdict:?}"
+            ));
+        }
+    }
+    count_field(deg, "degradation", "fallbacks")?;
+    match deg.get("failpoints") {
+        Some(Json::Null) | None => Ok(()),
+        Some(fp) => {
+            let at = "degradation.failpoints";
+            str_field(fp, at, "seed")?;
+            for (i, s) in arr_field(fp, at, "fired")?.iter().enumerate() {
+                let at = format!("{at}.fired[{i}]");
+                str_field(s, &at, "site")?;
+                count_field(s, &at, "count")?;
+            }
+            Ok(())
+        }
+    }
+}
+
+/// Every recovery record names a relation, a known reason and a detail,
+/// and every rebuild is explained by one (some records — e.g. a salvaged
+/// torn journal tail — do not force a rebuild, so ≤ rather than =).
+fn check_recoveries(ic: &Json) -> Checked<()> {
+    let recoveries = arr_field(ic, "index_cache", "recoveries")?;
+    for (i, r) in recoveries.iter().enumerate() {
+        let at = format!("index_cache.recoveries[{i}]");
+        str_field(r, &at, "relation")?;
+        known(
+            &at,
+            "reason",
+            str_field(r, &at, "reason")?,
+            &recovery_reason::ALL,
+        )?;
+        str_field(r, &at, "detail")?;
+    }
+    let rebuilds = delta_field(ic, "rebuilds");
+    if rebuilds > recoveries.len() as i64 {
+        return Err(format!(
+            "index_cache.rebuilds = {rebuilds} exceeds the {} recovery record(s)",
+            recoveries.len()
+        ));
+    }
+    Ok(())
+}
+
+/// Validate a metrics document against the schema-v8 layout (the only
+/// version accepted): required fields and types, closed vocabularies, the
+/// per-op and fleet-total conservation laws, and every counter block's
+/// fields and laws from its table ([`CounterBlock`]).
 pub fn validate_metrics_json(text: &str) -> std::result::Result<(), String> {
     let doc = parse_json(text)?;
     let version = doc
         .get("schema_version")
         .and_then(Json::as_int)
         .ok_or("missing integer field \"schema_version\"")?;
-    if !(1..=8).contains(&version) {
+    if version != SCHEMA_VERSION {
         return Err(format!("unsupported schema_version {version}"));
     }
     doc.get("threads")
@@ -1313,524 +1645,25 @@ pub fn validate_metrics_json(text: &str) -> std::result::Result<(), String> {
         .and_then(Json::as_arr)
         .ok_or("missing array field \"constraints\"")?;
     for (i, c) in constraints.iter().enumerate() {
-        let at = format!("constraints[{i}]");
-        c.get("name")
-            .and_then(Json::as_str)
-            .ok_or(format!("{at}: missing string field \"name\""))?;
-        if !matches!(c.get("holds"), Some(Json::Bool(_))) {
-            return Err(format!("{at}: missing boolean field \"holds\""));
-        }
-        if version >= 2 {
-            let verdict = c
-                .get("verdict")
-                .and_then(Json::as_str)
-                .ok_or(format!("{at}: missing string field \"verdict\""))?;
-            if !["holds", "violated", "degraded", "errored"].contains(&verdict) {
-                return Err(format!("{at}: unknown verdict {verdict:?}"));
-            }
-            match c.get("error") {
-                Some(Json::Null) | Some(Json::Str(_)) => {}
-                other => {
-                    return Err(format!(
-                        "{at}: \"error\" must be null or string, got {other:?}"
-                    ))
-                }
-            }
-        }
-        let method = c
-            .get("method")
-            .and_then(Json::as_str)
-            .ok_or(format!("{at}: missing string field \"method\""))?;
-        let methods: &[&str] = if version >= 2 {
-            &["bdd", "sql_fallback", "brute_force", "aborted"]
-        } else {
-            &["bdd", "sql_fallback", "brute_force"]
-        };
-        if !methods.contains(&method) {
-            return Err(format!("{at}: unknown method {method:?}"));
-        }
-        c.get("elapsed_ns")
-            .and_then(Json::as_int)
-            .ok_or(format!("{at}: missing integer field \"elapsed_ns\""))?;
-        match c.get("trace") {
-            Some(Json::Null) | None => {}
-            Some(t) => {
-                let rules = t
-                    .get("rules")
-                    .and_then(Json::as_arr)
-                    .ok_or(format!("{at}.trace: missing array field \"rules\""))?;
-                for r in rules {
-                    let name = r
-                        .get("rule")
-                        .and_then(Json::as_str)
-                        .ok_or(format!("{at}.trace: rule entry missing \"rule\""))?;
-                    if !["R1", "R2", "R3", "R4"].contains(&name) {
-                        return Err(format!("{at}.trace: unknown rule {name:?}"));
-                    }
-                    let count = r
-                        .get("count")
-                        .and_then(Json::as_int)
-                        .ok_or(format!("{at}.trace: rule entry missing \"count\""))?;
-                    if count <= 0 {
-                        return Err(format!("{at}.trace: rule {name:?} has count {count} <= 0"));
-                    }
-                }
-                if version >= 4 {
-                    let passes = t
-                        .get("passes")
-                        .and_then(Json::as_arr)
-                        .ok_or(format!("{at}.trace: missing array field \"passes\""))?;
-                    for p in passes {
-                        let name = p
-                            .get("pass")
-                            .and_then(Json::as_str)
-                            .ok_or(format!("{at}.trace: pass entry missing \"pass\""))?;
-                        if ![
-                            "prenex-pullup",
-                            "strip-leading-block",
-                            "refutation-nnf",
-                            "forall-pushdown",
-                        ]
-                        .contains(&name)
-                        {
-                            return Err(format!("{at}.trace: unknown pass {name:?}"));
-                        }
-                        match p.get("rule") {
-                            Some(Json::Null) => {}
-                            Some(Json::Str(r))
-                                if ["R1", "R2", "R3", "R4"].contains(&r.as_str()) => {}
-                            other => {
-                                return Err(format!(
-                                    "{at}.trace: pass {name:?} has bad \"rule\" {other:?}"
-                                ))
-                            }
-                        }
-                        for f in ["fired", "gated"] {
-                            let v = p.get(f).and_then(Json::as_int).ok_or(format!(
-                                "{at}.trace: pass {name:?} missing integer {f:?}"
-                            ))?;
-                            if v < 0 {
-                                return Err(format!("{at}.trace: pass {name:?} {f} = {v} < 0"));
-                            }
-                        }
-                    }
-                }
-                let events = t
-                    .get("index_events")
-                    .and_then(Json::as_arr)
-                    .ok_or(format!("{at}.trace: missing array field \"index_events\""))?;
-                for e in events {
-                    let p = e
-                        .get("provenance")
-                        .and_then(Json::as_str)
-                        .ok_or(format!("{at}.trace: index event missing \"provenance\""))?;
-                    if !["built", "reused", "sql_only"].contains(&p) {
-                        return Err(format!("{at}.trace: unknown provenance {p:?}"));
-                    }
-                }
-                match t.get("fallback") {
-                    Some(Json::Null) | None => {}
-                    Some(fb) => {
-                        let reason = fb
-                            .get("reason")
-                            .and_then(Json::as_str)
-                            .ok_or(format!("{at}.trace.fallback: missing \"reason\""))?;
-                        let reasons: &[&str] = if version >= 7 {
-                            &[
-                                "node_limit",
-                                "unindexed_relation",
-                                "deadline",
-                                "retry_exhausted",
-                                "panic",
-                                "overload",
-                            ]
-                        } else if version >= 2 {
-                            &[
-                                "node_limit",
-                                "unindexed_relation",
-                                "deadline",
-                                "retry_exhausted",
-                                "panic",
-                            ]
-                        } else {
-                            &["node_limit", "unindexed_relation"]
-                        };
-                        if !reasons.contains(&reason) {
-                            return Err(format!("{at}.trace.fallback: unknown reason {reason:?}"));
-                        }
-                    }
-                }
-                if let Some(ladder) = t.get("ladder") {
-                    let rungs = ladder
-                        .as_arr()
-                        .ok_or(format!("{at}.trace: \"ladder\" must be an array"))?;
-                    for r in rungs {
-                        let name = r
-                            .as_str()
-                            .ok_or(format!("{at}.trace.ladder: rung must be a string"))?;
-                        if ![
-                            "bdd",
-                            "gc_retry",
-                            "sql",
-                            "brute_force",
-                            "degraded",
-                            "errored",
-                        ]
-                        .contains(&name)
-                        {
-                            return Err(format!("{at}.trace.ladder: unknown rung {name:?}"));
-                        }
-                    }
-                }
-                let timings = t
-                    .get("timings")
-                    .ok_or(format!("{at}.trace: missing field \"timings\""))?;
-                for f in ["index_ns", "eval_ns", "total_ns"] {
-                    timings
-                        .get(f)
-                        .and_then(Json::as_int)
-                        .ok_or(format!("{at}.trace.timings: missing integer {f:?}"))?;
-                }
-                let bdd = t
-                    .get("bdd")
-                    .ok_or(format!("{at}.trace: missing field \"bdd\""))?;
-                check_delta_block(bdd, &format!("{at}.trace.bdd"))?;
-            }
-        }
+        check_constraint(c, &format!("constraints[{i}]"))?;
     }
     match doc.get("fleet") {
         Some(Json::Null) | None => {}
-        Some(fleet) => {
-            let workers = fleet
-                .get("workers")
-                .and_then(Json::as_arr)
-                .ok_or("fleet: missing array field \"workers\"")?;
-            let total = fleet.get("total").ok_or("fleet: missing field \"total\"")?;
-            check_delta_block(total, "fleet.total")?;
-            let mut sums: Vec<(String, i64)> = Vec::new();
-            for (wi, w) in workers.iter().enumerate() {
-                let at = format!("fleet.workers[{wi}]");
-                let bdd = w.get("bdd").ok_or(format!("{at}: missing field \"bdd\""))?;
-                check_delta_block(bdd, &format!("{at}.bdd"))?;
-                for f in ["created_nodes", "cache_hits", "cache_misses", "gc_runs"] {
-                    let v = delta_field(bdd, f);
-                    match sums.iter_mut().find(|(k, _)| k == f) {
-                        Some((_, acc)) => *acc += v,
-                        None => sums.push((f.to_owned(), v)),
-                    }
-                }
-            }
-            for (f, sum) in &sums {
-                let t = delta_field(total, f);
-                if t != *sum {
-                    return Err(format!("fleet.total.{f} = {t} but per-worker sum is {sum}"));
-                }
-            }
-            // Per-op totals must also be the worker sums.
-            if let Some(total_ops) = total.get("ops").and_then(Json::as_arr) {
-                for (ki, op) in total_ops.iter().enumerate() {
-                    let name = op.get("op").and_then(Json::as_str).unwrap_or("?");
-                    for f in ["calls", "cache_hits", "cache_misses"] {
-                        let t = delta_field(op, f);
-                        let mut sum = 0i64;
-                        for w in workers {
-                            if let Some(ops) = w
-                                .get("bdd")
-                                .and_then(|b| b.get("ops"))
-                                .and_then(Json::as_arr)
-                            {
-                                sum += delta_field(&ops[ki], f);
-                            }
-                        }
-                        if t != sum {
-                            return Err(format!(
-                                "fleet.total ops[{name}].{f} = {t} but per-worker sum is {sum}"
-                            ));
-                        }
-                    }
-                }
-            }
-        }
+        Some(fleet) => check_fleet(fleet)?,
     }
-    if version >= 2 {
-        let deg = doc
-            .get("degradation")
-            .ok_or("missing field \"degradation\"")?;
-        for f in ["degraded", "errored", "fallbacks"] {
-            let v = deg
-                .get(f)
-                .and_then(Json::as_int)
-                .ok_or(format!("degradation: missing integer field {f:?}"))?;
-            if v < 0 {
-                return Err(format!("degradation.{f} = {v} < 0"));
-            }
-        }
-        // Counts must agree with the per-constraint verdicts.
-        for (f, verdict) in [("degraded", "degraded"), ("errored", "errored")] {
-            let count = deg.get(f).and_then(Json::as_int).unwrap_or(0);
-            let tally = constraints
-                .iter()
-                .filter(|c| c.get("verdict").and_then(Json::as_str) == Some(verdict))
-                .count() as i64;
-            if count != tally {
-                return Err(format!(
-                    "degradation.{f} = {count} but {tally} constraints report verdict {verdict:?}"
-                ));
-            }
-        }
-        match deg.get("failpoints") {
-            Some(Json::Null) | None => {}
-            Some(fp) => {
-                fp.get("seed")
-                    .and_then(Json::as_str)
-                    .ok_or("degradation.failpoints: missing string field \"seed\"")?;
-                let fired = fp
-                    .get("fired")
-                    .and_then(Json::as_arr)
-                    .ok_or("degradation.failpoints: missing array field \"fired\"")?;
-                for (i, s) in fired.iter().enumerate() {
-                    s.get("site").and_then(Json::as_str).ok_or(format!(
-                        "degradation.failpoints.fired[{i}]: missing \"site\""
-                    ))?;
-                    let n = s.get("count").and_then(Json::as_int).ok_or(format!(
-                        "degradation.failpoints.fired[{i}]: missing \"count\""
-                    ))?;
-                    if n < 0 {
-                        return Err(format!("degradation.failpoints.fired[{i}]: count {n} < 0"));
-                    }
-                }
-            }
-        }
+    let deg = doc
+        .get("degradation")
+        .ok_or("missing field \"degradation\"")?;
+    check_degradation(deg, constraints)?;
+    let mut seen = Vec::new();
+    if let Some(ic) = INDEX_CACHE.validate(&doc, &mut seen)? {
+        check_recoveries(ic)?;
     }
-    if version >= 3 {
-        let ic = doc
-            .get("index_cache")
-            .ok_or("missing field \"index_cache\"")?;
-        if !matches!(ic, Json::Null) {
-            for f in [
-                "hits",
-                "misses",
-                "rebuilds",
-                "journal_replayed",
-                "write_failures",
-            ] {
-                let v = ic
-                    .get(f)
-                    .and_then(Json::as_int)
-                    .ok_or(format!("index_cache: missing integer field {f:?}"))?;
-                if v < 0 {
-                    return Err(format!("index_cache.{f} = {v} < 0"));
-                }
-            }
-            let recoveries = ic
-                .get("recoveries")
-                .and_then(Json::as_arr)
-                .ok_or("index_cache: missing array field \"recoveries\"")?;
-            for (i, r) in recoveries.iter().enumerate() {
-                r.get("relation")
-                    .and_then(Json::as_str)
-                    .ok_or(format!("index_cache.recoveries[{i}]: missing \"relation\""))?;
-                let reason = r
-                    .get("reason")
-                    .and_then(Json::as_str)
-                    .ok_or(format!("index_cache.recoveries[{i}]: missing \"reason\""))?;
-                if !recovery_reason::ALL.contains(&reason) {
-                    return Err(format!(
-                        "index_cache.recoveries[{i}]: unknown reason {reason:?}"
-                    ));
-                }
-                r.get("detail")
-                    .and_then(Json::as_str)
-                    .ok_or(format!("index_cache.recoveries[{i}]: missing \"detail\""))?;
-            }
-            // Conservation: every rebuild is explained by a recovery
-            // record (some records — e.g. a salvaged torn journal tail —
-            // do not force a rebuild, so ≤ rather than =).
-            let rebuilds = ic.get("rebuilds").and_then(Json::as_int).unwrap_or(0);
-            if rebuilds > recoveries.len() as i64 {
-                return Err(format!(
-                    "index_cache.rebuilds = {rebuilds} exceeds the {} recovery record(s)",
-                    recoveries.len()
-                ));
-            }
-        }
-    }
-    if version >= 4 {
-        let pc = doc
-            .get("plan_cache")
-            .ok_or("missing field \"plan_cache\"")?;
-        if !matches!(pc, Json::Null) {
-            for f in ["hits", "misses"] {
-                let v = pc
-                    .get(f)
-                    .and_then(Json::as_int)
-                    .ok_or(format!("plan_cache: missing integer field {f:?}"))?;
-                if v < 0 {
-                    return Err(format!("plan_cache.{f} = {v} < 0"));
-                }
-            }
-        }
-    }
-    if version >= 5 {
-        let sv = doc.get("serve").ok_or("missing field \"serve\"")?;
-        if !matches!(sv, Json::Null) {
-            let mut fields = std::collections::HashMap::new();
-            for f in [
-                "requests",
-                "deltas",
-                "checks",
-                "constraints_checked",
-                "constraints_skipped",
-                "dirty_peak",
-                "dirty_total",
-                "incremental_ns",
-                "full_ns",
-            ] {
-                let v = sv
-                    .get(f)
-                    .and_then(Json::as_int)
-                    .ok_or(format!("serve: missing integer field {f:?}"))?;
-                if v < 0 {
-                    return Err(format!("serve.{f} = {v} < 0"));
-                }
-                fields.insert(f, v);
-            }
-            // Conservation: the peak dirty-set size is one of the sizes
-            // summed into the total, and every delta/check is a request.
-            if fields["dirty_peak"] > fields["dirty_total"] {
-                return Err(format!(
-                    "serve.dirty_peak = {} exceeds dirty_total = {}",
-                    fields["dirty_peak"], fields["dirty_total"]
-                ));
-            }
-            if fields["deltas"] + fields["checks"] > fields["requests"] {
-                return Err(format!(
-                    "serve.deltas + serve.checks = {} exceeds requests = {}",
-                    fields["deltas"] + fields["checks"],
-                    fields["requests"]
-                ));
-            }
-        }
-    }
-    if version >= 6 {
-        let au = doc.get("audit").ok_or("missing field \"audit\"")?;
-        if !matches!(au, Json::Null) {
-            let mut fields = std::collections::HashMap::new();
-            for f in ["emitted", "verified", "failed", "witnesses"] {
-                let v = au
-                    .get(f)
-                    .and_then(Json::as_int)
-                    .ok_or(format!("audit: missing integer field {f:?}"))?;
-                if v < 0 {
-                    return Err(format!("audit.{f} = {v} < 0"));
-                }
-                fields.insert(f, v);
-            }
-            // Conservation: in an emitting run every verification outcome
-            // refers to an emitted certificate. A verify-only run reports
-            // emitted = 0 and its verified/failed tallies stand alone.
-            if fields["emitted"] > 0 && fields["verified"] + fields["failed"] > fields["emitted"] {
-                return Err(format!(
-                    "audit.verified + audit.failed = {} exceeds emitted = {}",
-                    fields["verified"] + fields["failed"],
-                    fields["emitted"]
-                ));
-            }
-        }
-    }
-    if version >= 7 {
-        let ov = doc.get("overload").ok_or("missing field \"overload\"")?;
-        if !matches!(ov, Json::Null) {
-            let mut fields = std::collections::HashMap::new();
-            for f in [
-                "admitted",
-                "shed",
-                "rejected",
-                "retries",
-                "watchdog_fires",
-                "drained",
-            ] {
-                let v = ov
-                    .get(f)
-                    .and_then(Json::as_int)
-                    .ok_or(format!("overload: missing integer field {f:?}"))?;
-                if v < 0 {
-                    return Err(format!("overload.{f} = {v} < 0"));
-                }
-                fields.insert(f, v);
-            }
-            // Conservation: shed requests are a subset of admitted ones
-            // (rejected requests never reach the engine), and the drain
-            // phase only serves requests that were already admitted.
-            if fields["shed"] > fields["admitted"] {
-                return Err(format!(
-                    "overload.shed = {} exceeds admitted = {}",
-                    fields["shed"], fields["admitted"]
-                ));
-            }
-            if fields["drained"] > fields["admitted"] {
-                return Err(format!(
-                    "overload.drained = {} exceeds admitted = {}",
-                    fields["drained"], fields["admitted"]
-                ));
-            }
-            // Every engine-visible request was admitted by the governor
-            // (the engine skips blank/comment lines, so <=, not ==).
-            if let Some(sv) = doc.get("serve") {
-                if !matches!(sv, Json::Null) {
-                    if let Some(reqs) = sv.get("requests").and_then(Json::as_int) {
-                        if reqs > fields["admitted"] {
-                            return Err(format!(
-                                "serve.requests = {} exceeds overload.admitted = {}",
-                                reqs, fields["admitted"]
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if version >= 8 {
-        let po = doc.get("policy").ok_or("missing field \"policy\"")?;
-        if !matches!(po, Json::Null) {
-            let mut fields = std::collections::HashMap::new();
-            for f in [
-                "relations",
-                "advised_bdd",
-                "advised_sql",
-                "applied_sql_only",
-                "applied_rebuilds",
-                "reseeded",
-                "readvises",
-                "cache_slots",
-                "profile_checks",
-            ] {
-                let v = po
-                    .get(f)
-                    .and_then(Json::as_int)
-                    .ok_or(format!("policy: missing integer field {f:?}"))?;
-                if v < 0 {
-                    return Err(format!("policy.{f} = {v} < 0"));
-                }
-                fields.insert(f, v);
-            }
-            // Conservation: every examined relation got exactly one
-            // route, and only SQL-advised relations can be newly marked.
-            if fields["advised_bdd"] + fields["advised_sql"] != fields["relations"] {
-                return Err(format!(
-                    "policy.advised_bdd + policy.advised_sql = {} but relations = {}",
-                    fields["advised_bdd"] + fields["advised_sql"],
-                    fields["relations"]
-                ));
-            }
-            if fields["applied_sql_only"] > fields["advised_sql"] {
-                return Err(format!(
-                    "policy.applied_sql_only = {} exceeds advised_sql = {}",
-                    fields["applied_sql_only"], fields["advised_sql"]
-                ));
-            }
-        }
-    }
+    PLAN_CACHE.validate(&doc, &mut seen)?;
+    SERVE.validate(&doc, &mut seen)?;
+    AUDIT.validate(&doc, &mut seen)?;
+    OVERLOAD.validate(&doc, &mut seen)?;
+    POLICY.validate(&doc, &mut seen)?;
     Ok(())
 }
 
@@ -1860,16 +1693,10 @@ pub fn validate_plan_json(text: &str) -> std::result::Result<(), String> {
         .ok_or("missing array field \"plans\"")?;
     for (i, p) in plans.iter().enumerate() {
         let at = format!("plans[{i}]");
-        for field in ["name", "constraint"] {
-            p.get(field)
-                .and_then(Json::as_str)
-                .ok_or(format!("{at}: missing string field {field:?}"))?;
-        }
+        str_field(p, &at, "name")?;
+        str_field(p, &at, "constraint")?;
         for field in ["constraint_fp", "schema_fp"] {
-            let fp = p
-                .get(field)
-                .and_then(Json::as_str)
-                .ok_or(format!("{at}: missing string field {field:?}"))?;
+            let fp = str_field(p, &at, field)?;
             if fp.len() != 16 || !fp.bytes().all(|b| b.is_ascii_hexdigit()) {
                 return Err(format!("{at}: {field} must be 16 hex digits, got {fp:?}"));
             }
@@ -1889,90 +1716,40 @@ pub fn validate_plan_json(text: &str) -> std::result::Result<(), String> {
                 return Err(format!("{at}.options: missing boolean field {field:?}"));
             }
         }
-        let passes = p
-            .get("passes")
-            .and_then(Json::as_arr)
-            .ok_or(format!("{at}: missing array field \"passes\""))?;
-        for pass in passes {
-            let name = pass
-                .get("pass")
-                .and_then(Json::as_str)
-                .ok_or(format!("{at}: pass entry missing \"pass\""))?;
-            if ![
-                "prenex-pullup",
-                "strip-leading-block",
-                "refutation-nnf",
-                "forall-pushdown",
-            ]
-            .contains(&name)
-            {
-                return Err(format!("{at}: unknown pass {name:?}"));
-            }
-            match pass.get("rule") {
-                Some(Json::Null) => {}
-                Some(Json::Str(r)) if ["R1", "R2", "R3", "R4"].contains(&r.as_str()) => {}
-                other => return Err(format!("{at}: pass {name:?} has bad rule {other:?}")),
-            }
-            for field in ["fired", "gated"] {
-                let n = pass
-                    .get(field)
-                    .and_then(Json::as_int)
-                    .ok_or(format!("{at}: pass {name:?} missing {field:?}"))?;
-                if n < 0 {
-                    return Err(format!("{at}: pass {name:?} has {field} = {n} < 0"));
-                }
-            }
-            for field in ["before", "after"] {
-                pass.get(field)
-                    .and_then(Json::as_str)
-                    .ok_or(format!("{at}: pass {name:?} missing string {field:?}"))?;
-            }
+        for pass in arr_field(p, &at, "passes")? {
+            check_pass(pass, &at)?;
+            str_field(pass, &at, "before")?;
+            str_field(pass, &at, "after")?;
         }
         let bdd = p.get("bdd").ok_or(format!("{at}: missing field \"bdd\""))?;
         let has_bdd = !matches!(bdd, Json::Null);
         if has_bdd {
-            let test = bdd
-                .get("test")
-                .and_then(Json::as_str)
-                .ok_or(format!("{at}.bdd: missing string field \"test\""))?;
-            if !["violations-empty", "satisfiable"].contains(&test) {
-                return Err(format!("{at}.bdd: unknown test {test:?}"));
-            }
-            let stripped = bdd
-                .get("stripped")
-                .and_then(Json::as_arr)
-                .ok_or(format!("{at}.bdd: missing array field \"stripped\""))?;
-            for v in stripped {
+            let at = format!("{at}.bdd");
+            let test = str_field(bdd, &at, "test")?;
+            known(&at, "test", test, &["violations-empty", "satisfiable"])?;
+            for v in arr_field(bdd, &at, "stripped")? {
                 if !matches!(v, Json::Str(_)) {
-                    return Err(format!("{at}.bdd: stripped entries must be strings"));
+                    return Err(format!("{at}: stripped entries must be strings"));
                 }
             }
             for field in ["join_rename", "fused_quant"] {
                 if !matches!(bdd.get(field), Some(Json::Bool(_))) {
-                    return Err(format!("{at}.bdd: missing boolean field {field:?}"));
+                    return Err(format!("{at}: missing boolean field {field:?}"));
                 }
             }
         }
         let sql = p.get("sql").ok_or(format!("{at}: missing field \"sql\""))?;
         let has_sql = !matches!(sql, Json::Null);
         if has_sql {
-            sql.get("shape")
-                .and_then(Json::as_str)
-                .ok_or(format!("{at}.sql: missing string field \"shape\""))?;
-            let columns = sql
-                .get("columns")
-                .and_then(Json::as_arr)
-                .ok_or(format!("{at}.sql: missing array field \"columns\""))?;
-            for c in columns {
+            let at = format!("{at}.sql");
+            str_field(sql, &at, "shape")?;
+            for c in arr_field(sql, &at, "columns")? {
                 if !matches!(c, Json::Str(_)) {
-                    return Err(format!("{at}.sql: column entries must be strings"));
+                    return Err(format!("{at}: column entries must be strings"));
                 }
             }
         }
-        let ladder = p
-            .get("ladder")
-            .and_then(Json::as_arr)
-            .ok_or(format!("{at}: missing array field \"ladder\""))?;
+        let ladder = arr_field(p, &at, "ladder")?;
         let mut want = Vec::new();
         if has_bdd {
             want.push("bdd");
@@ -2014,26 +1791,12 @@ fn valid_bench_ordering(s: &str) -> bool {
     .contains(&s)
 }
 
-fn bench_str<'a>(v: &'a Json, at: &str, field: &str) -> std::result::Result<&'a str, String> {
-    let s = v
-        .get(field)
-        .and_then(Json::as_str)
-        .ok_or(format!("{at}: missing string field {field:?}"))?;
+fn bench_str<'a>(v: &'a Json, at: &str, field: &str) -> Checked<&'a str> {
+    let s = str_field(v, at, field)?;
     if s.is_empty() {
         return Err(format!("{at}: {field:?} must be non-empty"));
     }
     Ok(s)
-}
-
-fn bench_count(v: &Json, at: &str, field: &str) -> std::result::Result<i64, String> {
-    let n = v
-        .get(field)
-        .and_then(Json::as_int)
-        .ok_or(format!("{at}: missing integer field {field:?}"))?;
-    if n < 0 {
-        return Err(format!("{at}: {field:?} must be non-negative, got {n}"));
-    }
-    Ok(n)
 }
 
 /// Validate a `BENCH_*.json` benchmark-trajectory document (schema
@@ -2082,8 +1845,8 @@ pub fn validate_bench_json(text: &str) -> std::result::Result<(), String> {
         let at = format!("entries[{i}]");
         bench_str(e, &at, "name")?;
         bench_str(e, &at, "variant")?;
-        bench_count(e, &at, "wall_ns")?;
-        bench_count(e, &at, "peak_nodes")?;
+        count_field(e, &at, "wall_ns")?;
+        count_field(e, &at, "peak_nodes")?;
         let rate = e
             .get("cache_hit_rate")
             .and_then(Json::as_num)
@@ -2114,9 +1877,9 @@ pub fn validate_bench_json(text: &str) -> std::result::Result<(), String> {
             "peak_nodes_before",
             "peak_nodes_after",
         ] {
-            bench_count(c, &at, field)?;
+            count_field(c, &at, field)?;
         }
-        if bench_count(c, &at, "wall_ns_before")? == 0 || bench_count(c, &at, "wall_ns_after")? == 0
+        if count_field(c, &at, "wall_ns_before")? == 0 || count_field(c, &at, "wall_ns_after")? == 0
         {
             return Err(format!(
                 "{at}: a measured comparison cannot have zero wall time"
@@ -2162,9 +1925,9 @@ mod tests {
         assert_eq!(v.get("k").unwrap().as_str(), Some("a\"b\\c\nd"));
     }
 
-    #[test]
-    fn empty_metrics_document_validates() {
-        let m = RunMetrics {
+    /// A batch run with no constraints and every optional block absent.
+    fn bare() -> RunMetrics {
+        RunMetrics {
             threads: 1,
             telemetry_enabled: false,
             constraints: Vec::new(),
@@ -2176,18 +1939,37 @@ mod tests {
             audit: None,
             overload: None,
             policy: None,
-        };
-        validate_metrics_json(&m.to_json()).unwrap();
+        }
+    }
+
+    fn serve_session() -> ServeMetrics {
+        ServeMetrics {
+            requests: 5,
+            deltas: 2,
+            checks: 2,
+            constraints_checked: 3,
+            constraints_skipped: 5,
+            dirty_peak: 2,
+            dirty_total: 3,
+            incremental_ns: 10,
+            full_ns: 20,
+        }
+    }
+
+    /// `doc` with the `,"key":…` member of a block removed.
+    fn without_block(doc: &str, key: &str) -> String {
+        let start = doc.find(&format!(",\"{key}\"")).unwrap();
+        doc.replace(&doc[start..doc.rfind('}').unwrap()], "")
+    }
+
+    #[test]
+    fn empty_metrics_document_validates() {
+        validate_metrics_json(&bare().to_json()).unwrap();
     }
 
     #[test]
     fn index_cache_metrics_validate_and_conserve() {
         let mut m = RunMetrics {
-            threads: 1,
-            telemetry_enabled: false,
-            constraints: Vec::new(),
-            fleet: None,
-            degradation: DegradationSummary::default(),
             index_cache: Some(IndexCacheMetrics {
                 hits: 1,
                 misses: 2,
@@ -2201,10 +1983,7 @@ mod tests {
                 }],
             }),
             plan_cache: Some(PlanCacheMetrics { hits: 3, misses: 1 }),
-            serve: None,
-            audit: None,
-            overload: None,
-            policy: None,
+            ..bare()
         };
         validate_metrics_json(&m.to_json()).unwrap();
         // A rebuild with no recovery record explaining it must fail.
@@ -2217,40 +1996,17 @@ mod tests {
         let doc = m.to_json().replace("segment_corrupt", "gremlins");
         let err = validate_metrics_json(&doc).unwrap_err();
         assert!(err.contains("unknown reason"), "{err}");
-        // v3 documents must carry the field, even as null.
-        let doc = m.to_json();
-        let stripped = doc.replace(
-            &doc[doc.find(",\"index_cache\"").unwrap()..doc.rfind('}').unwrap()],
-            "",
-        );
-        let err = validate_metrics_json(&stripped).unwrap_err();
+        // The field is required, even as null.
+        let err = validate_metrics_json(&without_block(&m.to_json(), "index_cache")).unwrap_err();
         assert!(err.contains("index_cache"), "{err}");
     }
 
     #[test]
     fn serve_metrics_validate_and_conserve() {
         let mut m = RunMetrics {
-            threads: 1,
-            telemetry_enabled: false,
-            constraints: Vec::new(),
-            fleet: None,
-            degradation: DegradationSummary::default(),
-            index_cache: None,
             plan_cache: Some(PlanCacheMetrics { hits: 3, misses: 4 }),
-            serve: Some(ServeMetrics {
-                requests: 5,
-                deltas: 2,
-                checks: 2,
-                constraints_checked: 3,
-                constraints_skipped: 5,
-                dirty_peak: 2,
-                dirty_total: 3,
-                incremental_ns: 10,
-                full_ns: 20,
-            }),
-            audit: None,
-            overload: None,
-            policy: None,
+            serve: Some(serve_session()),
+            ..bare()
         };
         validate_metrics_json(&m.to_json()).unwrap();
         // The peak dirty-set size is one of the summed sizes: peak >
@@ -2264,13 +2020,8 @@ mod tests {
         let err = validate_metrics_json(&m.to_json()).unwrap_err();
         assert!(err.contains("requests"), "{err}");
         m.serve.as_mut().unwrap().requests = 5;
-        // v5 documents must carry the field, even as null.
-        let doc = m.to_json();
-        let stripped = doc.replace(
-            &doc[doc.find(",\"serve\"").unwrap()..doc.rfind('}').unwrap()],
-            "",
-        );
-        let err = validate_metrics_json(&stripped).unwrap_err();
+        // The field is required, even as null.
+        let err = validate_metrics_json(&without_block(&m.to_json(), "serve")).unwrap_err();
         assert!(err.contains("serve"), "{err}");
         // Batch runs carry it as null; that validates.
         m.serve = None;
@@ -2278,71 +2029,9 @@ mod tests {
     }
 
     #[test]
-    fn validator_accepts_older_schema_versions() {
-        // A v2 document has no index_cache field; the validator must not
-        // demand one.
-        let m = RunMetrics {
-            threads: 1,
-            telemetry_enabled: false,
-            constraints: Vec::new(),
-            fleet: None,
-            degradation: DegradationSummary::default(),
-            index_cache: None,
-            plan_cache: None,
-            serve: None,
-            audit: None,
-            overload: None,
-            policy: None,
-        };
-        let v2 = m
-            .to_json()
-            .replace("\"schema_version\":8", "\"schema_version\":2");
-        validate_metrics_json(&v2).unwrap();
-        // A v3 document has no plan_cache field; tolerated the same way.
-        let doc = m.to_json();
-        let v3 = doc
-            .replace("\"schema_version\":8", "\"schema_version\":3")
-            .replace(",\"plan_cache\":null", "");
-        validate_metrics_json(&v3).unwrap();
-        // A v5 document has no audit field; tolerated the same way.
-        let v5 = doc
-            .replace("\"schema_version\":8", "\"schema_version\":5")
-            .replace(",\"audit\":null", "");
-        validate_metrics_json(&v5).unwrap();
-        // A v6 document has no overload field; tolerated the same way.
-        let v6 = doc
-            .replace("\"schema_version\":8", "\"schema_version\":6")
-            .replace(",\"overload\":null", "");
-        validate_metrics_json(&v6).unwrap();
-        // A v7 document has no policy field; tolerated the same way.
-        let v7 = doc
-            .replace("\"schema_version\":8", "\"schema_version\":7")
-            .replace(",\"policy\":null", "");
-        validate_metrics_json(&v7).unwrap();
-    }
-
-    #[test]
     fn validator_checks_overload_block() {
         let mut m = RunMetrics {
-            threads: 1,
-            telemetry_enabled: false,
-            constraints: Vec::new(),
-            fleet: None,
-            degradation: DegradationSummary::default(),
-            index_cache: None,
-            plan_cache: None,
-            serve: Some(ServeMetrics {
-                requests: 5,
-                deltas: 2,
-                checks: 2,
-                constraints_checked: 3,
-                constraints_skipped: 5,
-                dirty_peak: 2,
-                dirty_total: 3,
-                incremental_ns: 10,
-                full_ns: 20,
-            }),
-            audit: None,
+            serve: Some(serve_session()),
             overload: Some(OverloadMetrics {
                 admitted: 6,
                 shed: 2,
@@ -2351,7 +2040,7 @@ mod tests {
                 watchdog_fires: 0,
                 drained: 1,
             }),
-            policy: None,
+            ..bare()
         };
         validate_metrics_json(&m.to_json()).unwrap();
         // Shed requests are a subset of admitted ones.
@@ -2370,32 +2059,23 @@ mod tests {
         let err = validate_metrics_json(&m.to_json()).unwrap_err();
         assert!(err.contains("overload.admitted"), "{err}");
         m.serve.as_mut().unwrap().requests = 5;
-        // v7 documents must carry the field, even as null; batch runs
-        // carry it as null and that validates.
+        // The field is required, even as null; batch runs carry it as
+        // null and that validates.
         m.overload = None;
         let doc = m.to_json();
         validate_metrics_json(&doc).unwrap();
         let stripped = doc.replace(",\"overload\":null", "");
         let err = validate_metrics_json(&stripped).unwrap_err();
         assert!(err.contains("overload"), "{err}");
-        // The overload ladder-entry reason is v7 vocabulary only.
+        // Only schema v8 is accepted: a v6 document is rejected outright.
         let v6 = doc.replace("\"schema_version\":8", "\"schema_version\":6");
-        validate_metrics_json(&v6).unwrap();
+        let err = validate_metrics_json(&v6).unwrap_err();
+        assert!(err.contains("unsupported schema_version 6"), "{err}");
     }
 
     #[test]
     fn validator_checks_policy_block() {
         let mut m = RunMetrics {
-            threads: 1,
-            telemetry_enabled: false,
-            constraints: Vec::new(),
-            fleet: None,
-            degradation: DegradationSummary::default(),
-            index_cache: None,
-            plan_cache: None,
-            serve: None,
-            audit: None,
-            overload: None,
             policy: Some(PolicyMetrics {
                 relations: 4,
                 advised_bdd: 3,
@@ -2407,6 +2087,7 @@ mod tests {
                 cache_slots: 1 << 18,
                 profile_checks: 9,
             }),
+            ..bare()
         };
         validate_metrics_json(&m.to_json()).unwrap();
         // Every advised relation got exactly one route.
@@ -2419,38 +2100,33 @@ mod tests {
         let err = validate_metrics_json(&m.to_json()).unwrap_err();
         assert!(err.contains("policy.applied_sql_only"), "{err}");
         m.policy.as_mut().unwrap().applied_sql_only = 1;
-        // v8 documents must carry the field, even as null; static runs
-        // carry it as null and that validates.
+        // The field is required, even as null; static runs carry it as
+        // null and that validates.
         m.policy = None;
         let doc = m.to_json();
         validate_metrics_json(&doc).unwrap();
         let stripped = doc.replace(",\"policy\":null", "");
         let err = validate_metrics_json(&stripped).unwrap_err();
         assert!(err.contains("policy"), "{err}");
-        // A v7 document may omit the block entirely.
-        let v7 = stripped.replace("\"schema_version\":8", "\"schema_version\":7");
-        validate_metrics_json(&v7).unwrap();
+        // Only schema v8 is accepted: a v7 document is rejected outright,
+        // with or without the block.
+        for doc in [&doc, &stripped] {
+            let v7 = doc.replace("\"schema_version\":8", "\"schema_version\":7");
+            let err = validate_metrics_json(&v7).unwrap_err();
+            assert!(err.contains("unsupported schema_version 7"), "{err}");
+        }
     }
 
     #[test]
     fn validator_checks_audit_block() {
         let mut m = RunMetrics {
-            threads: 1,
-            telemetry_enabled: false,
-            constraints: Vec::new(),
-            fleet: None,
-            degradation: DegradationSummary::default(),
-            index_cache: None,
-            plan_cache: None,
-            serve: None,
             audit: Some(AuditMetrics {
                 emitted: 3,
                 verified: 3,
                 failed: 0,
                 witnesses: 7,
             }),
-            overload: None,
-            policy: None,
+            ..bare()
         };
         validate_metrics_json(&m.to_json()).unwrap();
         // Every verification outcome refers to an emitted certificate.
@@ -2465,7 +2141,7 @@ mod tests {
             witnesses: 0,
         });
         validate_metrics_json(&m.to_json()).unwrap();
-        // v6 documents must carry the field, even as null.
+        // The field is required, even as null.
         m.audit = None;
         let doc = m.to_json();
         let stripped = doc.replace(",\"audit\":null", "");
@@ -2486,36 +2162,57 @@ mod tests {
             peak_nodes: 10,
             depth_hwm: 3,
         };
-        let mut fleet = FleetTelemetry::from_workers(vec![wk]);
-        let good = RunMetrics {
+        let mut m = RunMetrics {
             threads: 2,
             telemetry_enabled: true,
-            constraints: Vec::new(),
-            fleet: Some(fleet.clone()),
-            degradation: DegradationSummary::default(),
-            index_cache: None,
-            plan_cache: None,
-            serve: None,
-            audit: None,
-            overload: None,
-            policy: None,
+            fleet: Some(FleetTelemetry::from_workers(vec![wk])),
+            ..bare()
         };
-        validate_metrics_json(&good.to_json()).unwrap();
-        fleet.total.created_nodes += 1;
-        let bad = RunMetrics {
-            threads: 2,
-            telemetry_enabled: true,
-            constraints: Vec::new(),
-            fleet: Some(fleet),
-            degradation: DegradationSummary::default(),
-            index_cache: None,
-            plan_cache: None,
-            serve: None,
-            audit: None,
-            overload: None,
-            policy: None,
-        };
-        let err = validate_metrics_json(&bad.to_json()).unwrap_err();
+        validate_metrics_json(&m.to_json()).unwrap();
+        m.fleet.as_mut().unwrap().total.created_nodes += 1;
+        let err = validate_metrics_json(&m.to_json()).unwrap_err();
         assert!(err.contains("created_nodes"), "{err}");
+    }
+
+    /// Each counter appears once in its table, and every law operand
+    /// names a counter of some table (a misspelt operand would otherwise
+    /// never resolve and the law would silently never apply).
+    #[test]
+    fn block_tables_are_well_formed() {
+        fn paths<T>(b: &CounterBlock<T>) -> Vec<String> {
+            b.fields
+                .iter()
+                .map(|(f, _)| format!("{}.{f}", b.name))
+                .collect()
+        }
+        let tables = [
+            paths(&INDEX_CACHE),
+            paths(&PLAN_CACHE),
+            paths(&SERVE),
+            paths(&AUDIT),
+            paths(&OVERLOAD),
+            paths(&POLICY),
+        ];
+        let all: Vec<&String> = tables.iter().flatten().collect();
+        let mut distinct = all.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), all.len(), "a counter is listed twice");
+        let laws = [
+            INDEX_CACHE.laws,
+            PLAN_CACHE.laws,
+            SERVE.laws,
+            AUDIT.laws,
+            OVERLOAD.laws,
+            POLICY.laws,
+        ];
+        for l in laws.into_iter().flatten() {
+            for operand in l.lhs.iter().chain([&l.rhs]) {
+                assert!(
+                    all.iter().any(|p| p == operand),
+                    "unknown operand {operand}"
+                );
+            }
+        }
     }
 }

@@ -238,13 +238,13 @@ fn plan_execution_matches_legacy_and_brute_force() {
 }
 
 /// A plan produced by `Checker::plan` and re-submitted through
-/// `check_with_plan` must decide identically to a planless check.
+/// `check_planned` must decide identically to a planless check.
 #[test]
 fn precomputed_plans_execute_identically() {
     let mut ck = Checker::new(customer_db(), CheckerOptions::default());
     for (name, f) in corpus() {
         let plan = ck.plan(&f).unwrap();
-        let via_plan = ck.check_with_plan(&f, &plan).unwrap();
+        let via_plan = ck.check_planned(&f, Some(&plan)).unwrap().0;
         let direct = ck.check(&f).unwrap();
         assert_eq!(
             (via_plan.holds, via_plan.verdict, via_plan.method),

@@ -12,10 +12,8 @@
 #![cfg(feature = "fuzz")]
 
 use proptest::prelude::*;
-use relcheck_core::checker::{Checker, CheckerOptions};
-use relcheck_core::compile::{check_bdd, CompileOptions};
-use relcheck_core::index::LogicalDatabase;
-use relcheck_core::ordering::OrderingStrategy;
+use relcheck_core::checker::{Checker, CheckerOptions, Method};
+use relcheck_core::plan::PlanOptions;
 use relcheck_logic::eval::eval_sentence;
 use relcheck_logic::{Formula, Term};
 use relcheck_relstore::{Database, Raw};
@@ -153,13 +151,17 @@ proptest! {
         };
         for use_rewrites in [true, false] {
             for join_rename in [true, false] {
-                let mut ldb = LogicalDatabase::new(build_db(&r_rows, &s_rows));
-                ldb.build_index("R", OrderingStrategy::ProbConverge).unwrap();
-                ldb.build_index("S", OrderingStrategy::MaxInfGain).unwrap();
-                let opts = CompileOptions { use_rewrites, join_rename };
-                let got = check_bdd(&mut ldb, &f, &opts).unwrap();
+                let opts = CheckerOptions {
+                    node_limit: None,
+                    plan: PlanOptions::from_flags(use_rewrites, join_rename),
+                    ..Default::default()
+                };
+                let mut ck = Checker::new(build_db(&r_rows, &s_rows), opts);
+                let report = ck.check(&f).unwrap();
+                // No node budget: the BDD rung must decide every sentence.
+                prop_assert_eq!(report.method, Method::Bdd);
                 prop_assert_eq!(
-                    got, expected,
+                    report.holds, expected,
                     "rewrites={} rename={} formula={}", use_rewrites, join_rename, &f
                 );
             }

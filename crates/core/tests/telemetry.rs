@@ -392,3 +392,298 @@ fn node_limit_fallback_is_reported_in_the_trace() {
         other => panic!("expected a retry-exhausted fallback reason, got {other:?}"),
     }
 }
+
+/// A delta with every counter distinct and non-zero, so a swapped or
+/// dropped field changes the golden bytes. `calls == hits + misses` holds
+/// per kind.
+fn sample_delta(seed: u64) -> StatsDelta {
+    let mut d = StatsDelta {
+        created_nodes: 100 + seed,
+        cache_hits: 0,
+        cache_misses: 0,
+        gc_runs: seed % 3,
+        ..Default::default()
+    };
+    for kind in OpKind::ALL {
+        let i = kind.index() as u64;
+        let s = &mut d.ops[kind.index()];
+        s.cache_hits = seed + i;
+        s.cache_misses = 2 * seed + i + 1;
+        s.calls = s.cache_hits + s.cache_misses;
+        d.cache_hits += s.cache_hits;
+        d.cache_misses += s.cache_misses;
+    }
+    d
+}
+
+/// A schema-v8 document with every optional block populated: a traced
+/// constraint that fell back, a degraded one, a two-lane fleet, armed
+/// failpoints, and all six counter blocks.
+fn fully_populated_metrics() -> RunMetrics {
+    use relcheck_core::checker::Verdict;
+    use relcheck_core::telemetry::*;
+    use std::time::Duration;
+    let lanes = vec![
+        WorkerTelemetry {
+            worker: 0,
+            constraints: vec![0],
+            bdd: sample_delta(1),
+            peak_nodes: 640,
+            depth_hwm: 12,
+        },
+        WorkerTelemetry {
+            worker: 1,
+            constraints: vec![1],
+            bdd: sample_delta(2),
+            peak_nodes: 320,
+            depth_hwm: 9,
+        },
+    ];
+    let trace = CheckTrace {
+        method: Method::SqlFallback,
+        rules: vec![
+            RuleFiring {
+                rule: RewriteRule::R3PrenexPullup,
+                count: 3,
+            },
+            RuleFiring {
+                rule: RewriteRule::R1LeadingBlock,
+                count: 2,
+            },
+        ],
+        passes: vec![
+            PassStat {
+                pass: "prenex-pullup",
+                rule: Some(RewriteRule::R3PrenexPullup),
+                fired: 3,
+                gated: 0,
+            },
+            PassStat {
+                pass: "refutation-nnf",
+                rule: None,
+                fired: 1,
+                gated: 2,
+            },
+        ],
+        index_events: vec![
+            IndexEvent {
+                relation: "CUST".to_owned(),
+                provenance: IndexProvenance::Reused,
+            },
+            IndexEvent {
+                relation: "ALLOWED".to_owned(),
+                provenance: IndexProvenance::Built,
+            },
+        ],
+        fallback: Some(FallbackReason::RetryExhausted {
+            limit: 18,
+            live: 21,
+        }),
+        ladder: vec!["bdd", "gc_retry", "sql"],
+        timings: PhaseTimings {
+            index: Duration::from_nanos(1_500),
+            eval: Duration::from_nanos(7_250),
+            total: Duration::from_nanos(9_000),
+        },
+        bdd: sample_delta(1),
+    };
+    RunMetrics {
+        threads: 2,
+        telemetry_enabled: true,
+        constraints: vec![
+            ConstraintMetrics {
+                name: "fd \"city\"\tstate".to_owned(),
+                holds: false,
+                verdict: Verdict::Violated,
+                error: None,
+                method: Method::SqlFallback,
+                elapsed: Duration::from_nanos(9_100),
+                trace: Some(trace),
+            },
+            ConstraintMetrics {
+                name: "inclusion".to_owned(),
+                holds: false,
+                verdict: Verdict::Degraded,
+                error: Some("every rung failed\nsql: injected".to_owned()),
+                method: Method::Aborted,
+                elapsed: Duration::from_nanos(4_000),
+                trace: None,
+            },
+        ],
+        fleet: Some(FleetTelemetry::from_workers(lanes)),
+        degradation: DegradationSummary {
+            degraded: 1,
+            errored: 0,
+            fallbacks: 1,
+            failpoints: Some((u64::MAX, vec![("apply", 2), ("sql-fallback", 1)])),
+        },
+        index_cache: Some(IndexCacheMetrics {
+            hits: 3,
+            misses: 2,
+            rebuilds: 1,
+            journal_replayed: 7,
+            write_failures: 1,
+            recoveries: vec![
+                RecoveryRecord {
+                    relation: "CUST".to_owned(),
+                    reason: recovery_reason::SEGMENT_CORRUPT,
+                    detail: "checksum mismatch at offset 20".to_owned(),
+                },
+                RecoveryRecord {
+                    relation: "ALLOWED".to_owned(),
+                    reason: recovery_reason::JOURNAL_TORN,
+                    detail: "12 trailing bytes".to_owned(),
+                },
+            ],
+        }),
+        plan_cache: Some(PlanCacheMetrics { hits: 5, misses: 2 }),
+        serve: Some(ServeMetrics {
+            requests: 11,
+            deltas: 6,
+            checks: 3,
+            constraints_checked: 4,
+            constraints_skipped: 2,
+            dirty_peak: 2,
+            dirty_total: 5,
+            incremental_ns: 123_456,
+            full_ns: 654_321,
+        }),
+        audit: Some(AuditMetrics {
+            emitted: 2,
+            verified: 1,
+            failed: 1,
+            witnesses: 8,
+        }),
+        overload: Some(OverloadMetrics {
+            admitted: 12,
+            shed: 3,
+            rejected: 4,
+            retries: 2,
+            watchdog_fires: 1,
+            drained: 5,
+        }),
+        policy: Some(PolicyMetrics {
+            relations: 2,
+            advised_bdd: 1,
+            advised_sql: 1,
+            applied_sql_only: 1,
+            applied_rebuilds: 1,
+            reseeded: 2,
+            readvises: 3,
+            cache_slots: 1 << 18,
+            profile_checks: 40,
+        }),
+    }
+}
+
+/// Byte-for-byte pin of the schema-v8 writer. Any change to field order,
+/// names, escaping or number formatting shows up here and must be made
+/// on purpose (and bump `schema_version` if it is not backward-compatible).
+#[test]
+fn golden_v8_metrics_document_is_byte_stable() {
+    let doc = fully_populated_metrics().to_json();
+    let golden = include_str!("golden/metrics_v8.json").trim_end();
+    assert_eq!(doc, golden);
+    validate_metrics_json(&doc).unwrap();
+}
+
+/// Every conservation law and closed vocabulary of the schema rejects a
+/// document that breaks it. Each case edits the fully populated document
+/// (through the typed structs where they can express the fault, through
+/// the JSON text where they cannot) and names a fragment the error must
+/// carry.
+#[test]
+fn validator_rejects_each_broken_law() {
+    type Edit = fn(&mut RunMetrics);
+    let typed: &[(&str, Edit)] = &[
+        ("violates calls == hits + misses", |m| {
+            let t = m.constraints[0].trace.as_mut().unwrap();
+            t.bdd.ops[0].calls += 1;
+        }),
+        ("has count 0 <= 0", |m| {
+            m.constraints[0].trace.as_mut().unwrap().rules[0].count = 0;
+        }),
+        ("fleet.total.created_nodes", |m| {
+            m.fleet.as_mut().unwrap().total.created_nodes += 1;
+        }),
+        ("fleet.total ops[", |m| {
+            let op = &mut m.fleet.as_mut().unwrap().total.ops[0];
+            op.calls += 1;
+            op.cache_hits += 1;
+        }),
+        ("degradation.degraded", |m| m.degradation.degraded = 0),
+        ("degradation.errored", |m| m.degradation.errored = 1),
+        ("index_cache.rebuilds", |m| {
+            m.index_cache.as_mut().unwrap().rebuilds = 3;
+        }),
+        ("serve.dirty_peak = 6 exceeds", |m| {
+            m.serve.as_mut().unwrap().dirty_peak = 6;
+        }),
+        ("exceeds serve.requests", |m| {
+            m.serve.as_mut().unwrap().deltas = 9
+        }),
+        ("exceeds audit.emitted", |m| {
+            m.audit.as_mut().unwrap().failed = 2
+        }),
+        ("overload.shed = 13 exceeds", |m| {
+            m.overload.as_mut().unwrap().shed = 13;
+        }),
+        ("overload.drained = 13 exceeds", |m| {
+            m.overload.as_mut().unwrap().drained = 13;
+        }),
+        ("serve.requests = 13 exceeds overload.admitted", |m| {
+            m.serve.as_mut().unwrap().requests = 13;
+        }),
+        ("but policy.relations", |m| {
+            m.policy.as_mut().unwrap().advised_bdd = 2;
+        }),
+        ("policy.applied_sql_only = 2 exceeds", |m| {
+            m.policy.as_mut().unwrap().applied_sql_only = 2;
+        }),
+    ];
+    for (want, edit) in typed {
+        let mut m = fully_populated_metrics();
+        edit(&mut m);
+        let err = validate_metrics_json(&m.to_json()).expect_err(want);
+        assert!(err.contains(want), "want {want:?}, got {err:?}");
+    }
+    let golden = fully_populated_metrics().to_json();
+    let textual = [
+        (
+            "\"schema_version\":8",
+            "\"schema_version\":7",
+            "unsupported",
+        ),
+        (
+            "\"witnesses\":8",
+            "\"witnesses\":-8",
+            "audit.witnesses = -8 < 0",
+        ),
+        (
+            "\"hits\":5",
+            "\"hits\":\"5\"",
+            "plan_cache: missing integer",
+        ),
+        ("\"verdict\":\"violated\"", "\"verdict\":\"bad\"", "verdict"),
+        (
+            "\"method\":\"aborted\"",
+            "\"method\":\"sql\"",
+            "unknown method",
+        ),
+        ("\"retry_exhausted\"", "\"gremlins\"", "unknown reason"),
+        ("\"prenex-pullup\"", "\"hoist\"", "unknown pass"),
+        ("\"reused\"", "\"borrowed\"", "unknown provenance"),
+        ("\"gc_retry\"", "\"retry\"", "unknown rung"),
+        ("\"journal_torn\"", "\"torn\"", "unknown reason"),
+        (
+            ",\"policy\":{",
+            ",\"policy_\":{",
+            "missing field \"policy\"",
+        ),
+    ];
+    for (from, to, want) in textual {
+        assert!(golden.contains(from), "{from}");
+        let err = validate_metrics_json(&golden.replacen(from, to, 1)).expect_err(want);
+        assert!(err.contains(want), "want {want:?}, got {err:?}");
+    }
+}

@@ -50,6 +50,20 @@ if [ "$rc" -ge 2 ]; then
     exit 1
 fi
 cargo run --release --quiet --bin relcheck -- metrics-check "$METRICS_OUT"
+# The validator accepts only the current schema version: the same real
+# document relabelled as v7 must be rejected.
+OLD_METRICS="$(mktemp /tmp/relcheck-metrics-v7.XXXXXX.json)"
+trap 'rm -f "$METRICS_OUT" "$OLD_METRICS"' EXIT
+sed 's/"schema_version":8/"schema_version":7/' "$METRICS_OUT" > "$OLD_METRICS"
+if ! grep -q '"schema_version":7' "$OLD_METRICS"; then
+    echo "could not relabel the metrics document as schema v7" >&2
+    exit 1
+fi
+if cargo run --release --quiet --bin relcheck -- metrics-check "$OLD_METRICS" 2>/dev/null; then
+    echo "metrics-check accepted a schema v7 document" >&2
+    exit 1
+fi
+rm -f "$OLD_METRICS"
 
 step "plan smoke: relcheck plan on the example suite + determinism"
 # Two planning runs over the same spec must emit byte-identical output
@@ -67,7 +81,7 @@ for want in "passes:" "bdd step:" "sql step:" "ladder: bdd"; do
     fi
 done
 # A serial run goes through the registry's fingerprinted plan cache and
-# must report its counters in the schema-v4 metrics document.
+# must report its counters in the metrics document.
 set +e
 cargo run --release --quiet --bin relcheck -- \
     run testdata/phones.spec --threads 1 --metrics "$METRICS_OUT" >/dev/null
@@ -263,7 +277,7 @@ step "overload smoke: 8 concurrent socket clients vs a depth-1 queue"
 # admitted request runs on the exact SQL rung), 8 clients hammering it
 # with certify/check traffic. The server must shed and reject under the
 # load, keep every decided verdict correct, drain gracefully on quit,
-# and emit a schema-v7 metrics document whose overload counters validate.
+# and emit a metrics document whose overload counters validate.
 OVER_DIR="$(mktemp -d /tmp/relcheck-overload.XXXXXX)"
 trap 'rm -rf "$METRICS_OUT" "$PLAN_A" "$PLAN_B" "$CACHE_DIR" "$COLD_OUT" "$WARM_OUT" "$SERVE_DIR" "$SERVE_OUT" "$BATCH_OUT" "$OVER_DIR"' EXIT
 SOCK="$OVER_DIR/relcheck.sock"
@@ -398,7 +412,7 @@ if [ "$rc" -ne 1 ]; then
 fi
 cargo run --release --quiet --bin relcheck -- metrics-check "$METRICS_OUT"
 if ! grep -q '"audit":{"emitted":4,"verified":4,"failed":0' "$METRICS_OUT"; then
-    echo "run metrics missing the schema-v6 audit block" >&2
+    echo "run metrics missing the audit block" >&2
     exit 1
 fi
 cargo run --release --quiet --bin relcheck -- \

@@ -81,10 +81,11 @@ fn bdd_and_sql_drilldowns_agree_on_spec_constraints() {
     let (constraints, db) = spec_db();
     let mut ck = Checker::new(db, CheckerOptions::default());
     for (name, f) in &constraints {
-        let (names, mut bdd_rows) = ck
-            .find_violations_bdd(f, 1000)
+        let counted = ck
+            .find_violations_counted(f, 1000)
             .unwrap()
             .unwrap_or_else(|| panic!("{name} should be ∀-prefixed"));
+        let (names, mut bdd_rows) = (counted.vars, counted.rows);
         let (sql_rel, sql_cols) = ck.find_violations(f).unwrap();
         assert_eq!(bdd_rows.len(), sql_rel.len(), "{name}");
         let perm: Vec<usize> = sql_cols
